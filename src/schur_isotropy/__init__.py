@@ -7,20 +7,15 @@ cases; an independent Schubert-calculus oracle (the top Chern class of the
 associated bundle on Gr(k, n)) cross-validates the rules on small instances.
 """
 
-from .chern import (
-    AgreementCase,
-    ChernVerdict,
-    cross_validate,
-    run_sweep,
-    top_chern_expansion,
-    top_chern_nonzero,
-)
+from .chern import ChernVerdict, top_chern_nonzero
 from .errors import DomainError
 from .isotropy import (
+    AgreementCase,
     InequalityReport,
     Verdict,
     decide,
     min_isotropic_n,
+    run_sweep,
     tevelev_inequalities,
     threshold_n,
     verify_proof_chain,
@@ -33,13 +28,7 @@ from .schur import (
     schur_ones_recurrence,
 )
 from .sympoly import SymPoly, product_of_linear_forms, schur_expand
-from .tableaux import (
-    Tableau,
-    count_ssyt,
-    count_ssyt_using_max,
-    enumerate_ssyt,
-    weight_vectors,
-)
+from .tableaux import Tableau, count_ssyt, enumerate_ssyt, weight_vectors
 
 __version__ = "0.1.0"
 
@@ -55,8 +44,6 @@ __all__ = [
     "Tableau",
     "Verdict",
     "count_ssyt",
-    "count_ssyt_using_max",
-    "cross_validate",
     "decide",
     "dim_schur_module",
     "enumerate_ssyt",
@@ -69,7 +56,6 @@ __all__ = [
     "schur_ones_recurrence",
     "tevelev_inequalities",
     "threshold_n",
-    "top_chern_expansion",
     "top_chern_nonzero",
     "verify_proof_chain",
     "weight_vectors",

@@ -1,10 +1,12 @@
 """Non-vanishing of the top Chern class of Schur-functor bundles on Gr(k, n).
 
 Builds the splitting-principle product of linear forms indexed by tableau
-weights, expands it in the Schur basis, and drops every shape whose first
-row exceeds n - k (those classes vanish on the Grassmannian).  What
-survives decides the verdict; this is the machine-checkable counterpart of
-the closed-form decision rules and is used to cross-validate them.
+weights, starting from the Vandermonde product and dropping every monomial
+with an exponent >= n as it multiplies, then reads the Schur coefficients
+of the shapes inside the k x (n - k) box; every other class vanishes on the
+Grassmannian.  What survives decides the verdict; this is the
+machine-checkable counterpart of the closed-form decision rules and is used
+to cross-validate them.
 """
 
 from __future__ import annotations
@@ -12,21 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidRange, ZeroBundle
-from .partitions import Partition, partitions_up_to
+from .partitions import Partition
 from .schur import schur_ones_hook_content
-from .sympoly import DEFAULT_TERM_CAP, product_of_linear_forms, schur_expand
+from .sympoly import DEFAULT_TERM_CAP, box_schur_expand
 from .tableaux import DEFAULT_ENUMERATION_CAP, weight_vectors
-
-# Defaults used for exhaustive sweeps; single queries may raise the
-# tableau/term caps via flags instead.
-SWEEP_DIM_CAP = 40
-SWEEP_K_CAP = 6
 
 SHORTCUT_NONE = "none"
 SHORTCUT_DEGREE = "degree-exceeds-top"
 SHORTCUT_EMPTY = "empty-weights"
-
-_expansion_cache: dict[tuple[Partition, int], dict[Partition, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -35,57 +30,13 @@ class ChernVerdict:
 
     ``degree`` is the bundle rank (the module dimension over C^k) and equals
     the cohomological degree of the class; ``surviving`` lists the Schur
-    coefficients that remain after the n - k first-row cut, in lex order.
+    coefficients of the shapes inside the k x (n - k) box, in lex order.
     """
 
     nonzero: bool
     degree: int
     surviving: tuple[tuple[Partition, int], ...]
     shortcut: str
-
-
-@dataclass(frozen=True)
-class AgreementCase:
-    """One (shape, k, n) instance compared between decision rule and oracle."""
-
-    shape: Partition
-    k: int
-    n: int
-    isotropic: bool
-    rule: str
-    threshold_n: int | None
-    oracle_nonzero: bool | None
-
-    @property
-    def agree(self) -> bool | None:
-        if self.oracle_nonzero is None:
-            return None
-        return self.isotropic == self.oracle_nonzero
-
-
-def top_chern_expansion(
-    shape: Partition,
-    k: int,
-    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
-    max_terms: int | None = DEFAULT_TERM_CAP,
-) -> dict[Partition, int]:
-    """Schur expansion of the product of tableau-weight linear forms.
-
-    Independent of n, so results are cached per (shape, k) and reused when
-    the same shape is queried against several ambient dimensions.  The
-    enumeration cap is enforced on every call, cached or not, so guard
-    behavior does not depend on process history.
-    """
-    shape = Partition(shape)
-    weights = weight_vectors(shape, k, max_tableaux)
-    key = (shape, k)
-    cached = _expansion_cache.get(key)
-    if cached is not None:
-        return cached
-    poly = product_of_linear_forms(weights, k, max_terms)
-    expansion = schur_expand(poly, max_terms)
-    _expansion_cache[key] = expansion
-    return expansion
 
 
 def top_chern_nonzero(
@@ -100,7 +51,8 @@ def top_chern_nonzero(
     When the class degree already exceeds dim Gr(k, n) = k(n - k), the class
     is zero without any polynomial work.  The empty shape contributes a zero
     Chern root (its single weight vector is all zeros), so its class is zero
-    as well.
+    as well.  ``max_terms`` caps every intermediate product, the Vandermonde
+    factors included.
     """
     if k < 1 or k > n:
         raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -114,71 +66,6 @@ def top_chern_nonzero(
         return ChernVerdict(False, degree, (), SHORTCUT_DEGREE)
     if not shape:
         return ChernVerdict(False, degree, (), SHORTCUT_EMPTY)
-    expansion = top_chern_expansion(shape, k, max_tableaux, max_terms)
-    surviving = tuple(
-        (mu, coeff) for mu, coeff in expansion.items() if mu.part(1) <= n - k
-    )
+    weights = weight_vectors(shape, k, max_tableaux)
+    surviving = tuple(box_schur_expand(weights, k, n, max_terms).items())
     return ChernVerdict(bool(surviving), degree, surviving, SHORTCUT_NONE)
-
-
-def cross_validate(
-    shape: Partition,
-    k: int,
-    n: int,
-    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
-    max_terms: int | None = DEFAULT_TERM_CAP,
-) -> AgreementCase:
-    """Run the decision rules and the oracle on one instance and compare."""
-    from .isotropy import decide
-
-    verdict = decide(shape, k, n)
-    oracle = top_chern_nonzero(shape, k, n, max_tableaux, max_terms)
-    return AgreementCase(
-        Partition(shape), k, n,
-        verdict.isotropic, verdict.rule, verdict.threshold_n,
-        oracle.nonzero,
-    )
-
-
-def run_sweep(
-    max_size: int,
-    max_k: int,
-    max_n: int,
-    with_oracle: bool = False,
-    dim_cap: int = SWEEP_DIM_CAP,
-    k_cap: int = SWEEP_K_CAP,
-    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
-    max_terms: int | None = DEFAULT_TERM_CAP,
-) -> list[AgreementCase]:
-    """Decision verdicts for every nonempty shape of size <= max_size,
-    rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
-    wherever the oracle caps allow.
-
-    Order is deterministic: shapes by size then lex-decreasing, then k, then n.
-    """
-    from .isotropy import decide
-
-    cases = []
-    for shape in partitions_up_to(max_size):
-        if not shape:
-            continue
-        for k in range(len(shape), max_k + 1):
-            for n in range(k + 1, max_n + 1):
-                verdict = decide(shape, k, n)
-                oracle = None
-                if (
-                    with_oracle
-                    and k <= k_cap
-                    and schur_ones_hook_content(shape, k) <= dim_cap
-                ):
-                    oracle = top_chern_nonzero(
-                        shape, k, n, max_tableaux, max_terms
-                    ).nonzero
-                cases.append(
-                    AgreementCase(
-                        shape, k, n,
-                        verdict.isotropic, verdict.rule, verdict.threshold_n,
-                        oracle,
-                    )
-                )
-    return cases

@@ -13,11 +13,12 @@ import sys
 import time
 from fractions import Fraction
 
-from .chern import run_sweep, top_chern_nonzero
+from .chern import top_chern_nonzero
 from .errors import DomainError, ZeroModule
 from .isotropy import (
     decide,
     min_isotropic_n,
+    run_sweep,
     tevelev_inequalities,
     threshold_n,
     verify_proof_chain,

@@ -7,7 +7,8 @@ and two columns (k >= 3); single-row and single-column shapes follow the
 binomial criteria of Tevelev together with the exceptional families: the
 two degree-2 shapes, alternating (n-2)-forms with n even, and alternating
 3-forms on C^7.  The one uncovered corner (k = 2 with a two-row,
-two-column shape) is delegated to the top-Chern-class oracle.
+two-column shape) is delegated to the top-Chern-class oracle.  ``run_sweep``
+compares the rules with that oracle over a grid of small instances.
 
 The degree-2 shapes flip at different points.  A generic symmetric form
 (shape (2,)) is nondegenerate, so its isotropic subspaces have dimension
@@ -35,8 +36,10 @@ from .errors import (
     SizeGuard,
     ZeroModule,
 )
-from .partitions import Partition, strip_full_height_columns
+from .partitions import Partition, partitions_up_to, strip_full_height_columns
 from .schur import schur_ones_hook_content
+from .sympoly import DEFAULT_TERM_CAP
+from .tableaux import DEFAULT_ENUMERATION_CAP
 
 RULE_MAIN = "main-theorem"
 RULE_TEVELEV_SYMMETRIC = "tevelev-symmetric"
@@ -48,6 +51,11 @@ RULE_EXCEPTION_SKEW_3_N7 = "exception-skew-3-n7"
 RULE_DEGREE_1 = "degree-1"
 RULE_TRIVIAL = "trivial-zero-module"
 RULE_ORACLE_FALLBACK = "oracle-fallback"
+
+# Oracle caps for exhaustive sweeps and the k = 2 fallback; single oracle
+# queries may raise the tableau/term caps via flags instead.
+SWEEP_DIM_CAP = 40
+SWEEP_K_CAP = 6
 
 RULES = (
     RULE_MAIN,
@@ -97,6 +105,25 @@ class InequalityReport:
     @property
     def all_hold(self) -> bool:
         return all(row.holds for row in self.rows)
+
+
+@dataclass(frozen=True)
+class AgreementCase:
+    """One (shape, k, n) instance compared between decision rule and oracle."""
+
+    shape: Partition
+    k: int
+    n: int
+    isotropic: bool
+    rule: str
+    threshold_n: int | None
+    oracle_nonzero: bool | None
+
+    @property
+    def agree(self) -> bool | None:
+        if self.oracle_nonzero is None:
+            return None
+        return self.isotropic == self.oracle_nonzero
 
 
 class ChainStep(NamedTuple):
@@ -199,10 +226,10 @@ def decide(shape: Partition, k: int, n: int) -> Verdict:
     # k == 2 with a two-row, two-column shape: no closed-form rule is stated,
     # so the oracle answers directly.
     dim = schur_ones_hook_content(shape, k)
-    if dim > chern.SWEEP_DIM_CAP:
+    if dim > SWEEP_DIM_CAP:
         raise OutOfTheoremScope(
             f"k={k} with shape {shape.as_text()} is outside the closed-form rules"
-            f" and its dimension {dim} exceeds the oracle cap {chern.SWEEP_DIM_CAP}"
+            f" and its dimension {dim} exceeds the oracle cap {SWEEP_DIM_CAP}"
         )
     try:
         oracle = chern.top_chern_nonzero(shape, k, n)
@@ -387,3 +414,45 @@ def min_isotropic_n(shape: Partition, k: int) -> int:
     raise OutOfTheoremScope(
         f"no isotropic n found up to {bound} for shape {shape.as_text()}, k={k}"
     )
+
+
+def run_sweep(
+    max_size: int,
+    max_k: int,
+    max_n: int,
+    with_oracle: bool = False,
+    dim_cap: int = SWEEP_DIM_CAP,
+    k_cap: int = SWEEP_K_CAP,
+    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
+    max_terms: int | None = DEFAULT_TERM_CAP,
+) -> list[AgreementCase]:
+    """Decision verdicts for every nonempty shape of size <= max_size,
+    rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
+    wherever the oracle caps allow.
+
+    Order is deterministic: shapes by size then lex-decreasing, then k, then n.
+    """
+    cases = []
+    for shape in partitions_up_to(max_size):
+        if not shape:
+            continue
+        for k in range(len(shape), max_k + 1):
+            for n in range(k + 1, max_n + 1):
+                verdict = decide(shape, k, n)
+                oracle = None
+                if (
+                    with_oracle
+                    and k <= k_cap
+                    and schur_ones_hook_content(shape, k) <= dim_cap
+                ):
+                    oracle = chern.top_chern_nonzero(
+                        shape, k, n, max_tableaux, max_terms
+                    ).nonzero
+                cases.append(
+                    AgreementCase(
+                        shape, k, n,
+                        verdict.isotropic, verdict.rule, verdict.threshold_n,
+                        oracle,
+                    )
+                )
+    return cases

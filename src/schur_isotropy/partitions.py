@@ -143,13 +143,6 @@ def horizontal_strip_predecessors(shape: Partition) -> list[Partition]:
     return sorted((Partition(choice) for choice in product(*ranges)), reverse=True)
 
 
-def remove_corner_box(shape: Partition) -> Partition:
-    """Delete the last box of the last row."""
-    if not shape:
-        raise EmptyPartition("no box to remove")
-    return Partition(shape[:-1] + (shape[-1] - 1,))
-
-
 def strip_full_height_columns(shape: Partition) -> Partition:
     """Delete every column whose height equals the number of rows.
 
@@ -158,21 +151,6 @@ def strip_full_height_columns(shape: Partition) -> Partition:
     if not shape:
         raise EmptyPartition("nothing to strip")
     return Partition(p - shape[-1] for p in shape)
-
-
-def pieri_add_one_box(shape: Partition, max_length: int) -> list[Partition]:
-    """All shapes obtained by adding one box, keeping at most ``max_length`` rows.
-
-    Results come back in lexicographically decreasing order.
-    """
-    grown = []
-    for i in range(len(shape)):
-        if i == 0 or shape[i] < shape[i - 1]:
-            grown.append(Partition(shape[:i] + (shape[i] + 1,) + shape[i + 1 :]))
-    if len(shape) < max_length:
-        grown.append(Partition(shape + (1,)))
-    grown.sort(reverse=True)
-    return grown
 
 
 def partitions_of(total: int, max_part: int | None = None) -> Iterator[Partition]:

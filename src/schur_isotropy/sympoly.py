@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeGuard, NotHomogeneous, NotSymmetric
@@ -55,24 +57,7 @@ class SymPoly:
         """Multiply by the linear form sum(coeffs[i] * x_i)."""
         if len(coeffs) != self.nvars:
             raise ValueError(f"expected {self.nvars} coefficients, got {len(coeffs)}")
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for expo, c in self.terms.items():
-            for i, a in enumerate(coeffs):
-                if not a:
-                    continue
-                bumped = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
-                value = get(bumped, 0) + c * a
-                if value:
-                    out[bumped] = value
-                else:
-                    del out[bumped]
-        if max_terms is not None and len(out) > max_terms:
-            degree = sum(next(iter(out)))
-            raise DegreeGuard(
-                f"{len(out)} terms at degree {degree} exceeds the cap {max_terms}"
-            )
-        return SymPoly(self.nvars, out)
+        return SymPoly(self.nvars, _mul_linear(self.terms, coeffs, max_terms))
 
     def __eq__(self, other) -> bool:
         return (
@@ -80,9 +65,6 @@ class SymPoly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"SymPoly(nvars={self.nvars}, terms={len(self.terms)})"
@@ -118,16 +100,94 @@ def schur_expand(
         raise NotSymmetric("polynomial is not invariant under variable swaps")
     if not poly.is_homogeneous():
         raise NotHomogeneous("polynomial mixes total degrees")
-    k = poly.nvars
-    alternating = poly
-    for i in range(k):
-        for j in range(i + 1, k):
-            coeffs = [0] * k
-            coeffs[i] = 1
-            coeffs[j] = -1
-            alternating = alternating.mul_linear(coeffs, max_terms)
+    return _alternant_expansion(poly.terms, poly.nvars, (), max_terms)
+
+
+def box_schur_expand(
+    weights: Sequence[Sequence[int]],
+    nvars: int,
+    bound: int,
+    max_terms: int | None = DEFAULT_TERM_CAP,
+) -> dict[Partition, int]:
+    """Schur coefficients of the product of the forms sum(w[i] * x_i), one per
+    weight, for every shape mu with mu_1 <= bound - nvars.
+
+    Starts from the Vandermonde product and multiplies in the weight forms,
+    dropping each monomial with an exponent >= bound as soon as it appears.
+    Those monomials span an ideal that multiplication keeps inside itself,
+    so dropping them step by step equals dropping them once at the end.  The
+    alternant of mu + staircase lies wholly in that ideal when
+    mu_1 > bound - nvars and shares no monomial with it otherwise, so the
+    coefficients read are exactly those of schur_expand inside the box.
+    Shapes come back in increasing lexicographic order.
+
+    The product is symmetric when the weight multiset is invariant under
+    variable swaps, that is when the sum of x^w over the weights is a
+    symmetric polynomial; NotSymmetric is raised otherwise.
+    """
+    if not SymPoly(nvars, Counter(map(tuple, weights))).is_symmetric():
+        raise NotSymmetric("weight multiset is not invariant under variable swaps")
+    return _alternant_expansion(
+        {(0,) * nvars: 1}, nvars, weights, max_terms, bound
+    )
+
+
+def _mul_linear(
+    terms: Mapping[tuple[int, ...], int],
+    coeffs: Sequence[int],
+    max_terms: int | None,
+    bound: int | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Terms times sum(coeffs[i] * x_i), without the monomials that reach an
+    exponent of ``bound``.
+
+    Every exponent in ``terms`` must already be below ``bound``, so a bumped
+    exponent can reach it but never pass it.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for expo, c in terms.items():
+        for i, a in enumerate(coeffs):
+            if not a:
+                continue
+            bumped_i = expo[i] + 1
+            if bumped_i == bound:
+                continue
+            bumped = expo[:i] + (bumped_i,) + expo[i + 1 :]
+            value = get(bumped, 0) + c * a
+            if value:
+                out[bumped] = value
+            else:
+                del out[bumped]
+    if max_terms is not None and len(out) > max_terms:
+        degree = sum(next(iter(out)))
+        raise DegreeGuard(
+            f"{len(out)} terms at degree {degree} exceeds the cap {max_terms}"
+        )
+    return out
+
+
+def _alternant_expansion(
+    terms: Mapping[tuple[int, ...], int],
+    nvars: int,
+    forms: Iterable[Sequence[int]],
+    max_terms: int | None,
+    bound: int | None = None,
+) -> dict[Partition, int]:
+    """Multiply ``terms`` by the Vandermonde product and then by each form,
+    and read the coefficient of every strictly decreasing exponent vector
+    mu + staircase as the Schur coefficient of mu, in lex order of mu.
+    """
+    k = nvars
+    vandermonde = (
+        tuple(1 if t == i else -1 if t == j else 0 for t in range(k))
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+    for coeffs in chain(vandermonde, forms):
+        terms = _mul_linear(terms, coeffs, max_terms, bound)
     expansion: dict[Partition, int] = {}
-    for expo, coeff in alternating.terms.items():
+    for expo, coeff in terms.items():
         if all(expo[t] > expo[t + 1] for t in range(k - 1)):
             mu = Partition(expo[t] - (k - 1 - t) for t in range(k))
             expansion[mu] = coeff

@@ -89,13 +89,6 @@ def count_ssyt(shape: Partition, max_entry: int) -> int:
     return sum(ways.values())
 
 
-def count_ssyt_using_max(shape: Partition, max_entry: int) -> int:
-    """Number of fillings that use the entry ``max_entry`` at least once."""
-    if max_entry < 1:
-        raise ValueError(f"max_entry must be positive, got {max_entry}")
-    return count_ssyt(shape, max_entry) - count_ssyt(shape, max_entry - 1)
-
-
 def enumerate_ssyt(
     shape: Partition,
     max_entry: int,

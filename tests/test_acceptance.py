@@ -12,13 +12,14 @@ import time
 from fractions import Fraction
 from math import comb
 
-from schur_isotropy.chern import _expansion_cache, run_sweep, top_chern_nonzero
+from schur_isotropy.chern import top_chern_nonzero
 from schur_isotropy.cli import run
 from schur_isotropy.isotropy import (
     RULE_EXCEPTION_SKEW_3_N7,
     RULE_MAIN,
     RULE_ORACLE_FALLBACK,
     decide,
+    run_sweep,
     tevelev_inequalities,
 )
 from schur_isotropy.partitions import Partition, partitions_up_to
@@ -47,7 +48,6 @@ def _cli_json(capsys, argv):
 
 
 def test_criterion_1_skew_cubic_example(capsys):
-    _expansion_cache.clear()  # timing is measured from a cold cache
     start = time.perf_counter()
     code, envelope = _cli_json(capsys, ["oracle", "--lambda", "1,1,1", "--k", "5", "--n", "7"])
     elapsed = time.perf_counter() - start
@@ -68,7 +68,6 @@ def test_criterion_1_skew_cubic_example(capsys):
 
 
 def test_criterion_2_two_one_example(capsys):
-    _expansion_cache.clear()
     start = time.perf_counter()
     code, envelope = _cli_json(capsys, ["oracle", "--lambda", "2,1", "--k", "3", "--n", "6"])
     elapsed = time.perf_counter() - start

@@ -1,14 +1,12 @@
 import pytest
 
-from schur_isotropy.chern import (
-    AgreementCase,
-    cross_validate,
-    run_sweep,
-    top_chern_expansion,
-    top_chern_nonzero,
-)
+from schur_isotropy.chern import top_chern_nonzero
 from schur_isotropy.errors import DegreeGuard, InvalidRange, ZeroBundle
-from schur_isotropy.partitions import Partition
+from schur_isotropy.isotropy import AgreementCase, run_sweep
+from schur_isotropy.partitions import Partition, partitions_up_to
+from schur_isotropy.schur import schur_ones_hook_content
+from schur_isotropy.sympoly import product_of_linear_forms, schur_expand
+from schur_isotropy.tableaux import weight_vectors
 
 
 def test_skew_cubic_on_c7_vanishes():
@@ -77,22 +75,27 @@ def test_monotone_in_ambient_dimension():
             seen_nonzero = seen_nonzero or nonzero
 
 
-def test_expansion_is_cached_and_deterministic():
-    first = top_chern_expansion(Partition((2, 1)), 3)
-    second = top_chern_expansion(Partition((2, 1)), 3)
-    assert first is second
-    assert list(first) == sorted(first)
-
-
-def test_cross_validate_agreements():
-    case = cross_validate(Partition((2, 1)), 3, 6)
-    assert case.agree is True and case.isotropic is True
-
-    case = cross_validate(Partition((1, 1, 1)), 5, 7)
-    assert case.agree is True and case.isotropic is False
-
-    case = cross_validate(Partition((2, 2)), 3, 7)
-    assert case.agree is True and case.isotropic is True
+def test_survivors_match_the_full_expansion_cut_to_the_box():
+    # reference: expand the whole product in the Schur basis, then keep the
+    # shapes with mu_1 <= n - k, over the capped grid size <= 5, k <= 5,
+    # dim <= 40, n <= 10 (a dim above k(10 - k) takes the degree shortcut
+    # at every n there, so it has nothing to compare)
+    checked = 0
+    for lam in partitions_up_to(5):
+        if not lam:
+            continue
+        for k in range(len(lam), 6):
+            if schur_ones_hook_content(lam, k) > min(40, k * (10 - k)):
+                continue
+            full = schur_expand(product_of_linear_forms(weight_vectors(lam, k), k))
+            for n in range(k + 1, 11):
+                verdict = top_chern_nonzero(lam, k, n)
+                if verdict.shortcut != "none":
+                    continue
+                expected = [(mu, c) for mu, c in full.items() if mu.part(1) <= n - k]
+                assert list(verdict.surviving) == expected, (lam, k, n)
+                checked += 1
+    assert checked == 268
 
 
 def test_skew_two_form_oracle_flips_at_2k_minus_1():
@@ -139,6 +142,11 @@ def test_oracle_agrees_with_threshold_rule_instances():
 
 
 def test_term_cap_raises_degree_guard():
-    # shape chosen outside every sweep grid so no cached expansion exists
     with pytest.raises(DegreeGuard):
         top_chern_nonzero(Partition((5, 2)), 2, 8, max_terms=2)
+
+
+def test_term_cap_holds_after_an_uncapped_call():
+    top_chern_nonzero(Partition((2, 1)), 3, 6)
+    with pytest.raises(DegreeGuard):
+        top_chern_nonzero(Partition((2, 1)), 3, 6, max_terms=2)

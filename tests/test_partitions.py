@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from schur_isotropy.errors import (
     BoxOutOfShape,
-    EmptyPartition,
     MalformedInput,
     NonPositivePart,
     NotWeaklyDecreasing,
@@ -21,8 +20,6 @@ from schur_isotropy.partitions import (
     parse_partition,
     partitions_of,
     partitions_up_to,
-    pieri_add_one_box,
-    remove_corner_box,
     strip_full_height_columns,
 )
 
@@ -162,41 +159,10 @@ def test_strip_predecessors_match_column_definition():
             assert (mu in preds) == _is_horizontal_strip(lam, mu), (lam, mu)
 
 
-def test_remove_corner_box():
-    assert remove_corner_box(Partition((2, 1))) == Partition((2,))
-    assert remove_corner_box(Partition((3, 3))) == Partition((3, 2))
-    assert remove_corner_box(Partition((1,))) == Partition()
-    with pytest.raises(EmptyPartition):
-        remove_corner_box(Partition())
-
-
 def test_strip_full_height_columns():
     assert strip_full_height_columns(Partition((3, 3, 1))) == Partition((2, 2))
     assert strip_full_height_columns(Partition((4, 4, 4))) == Partition()
     assert strip_full_height_columns(Partition((2, 1))) == Partition((1,))
-
-
-def test_pieri_add_one_box():
-    assert pieri_add_one_box(Partition((1,)), 2) == [
-        Partition((2,)),
-        Partition((1, 1)),
-    ]
-    assert pieri_add_one_box(Partition((2, 1)), 2) == [
-        Partition((3, 1)),
-        Partition((2, 2)),
-    ]
-    assert pieri_add_one_box(Partition(), 4) == [Partition((1,))]
-
-
-@given(partitions(max_size=9, allow_empty=False))
-def test_pieri_growth_count(lam):
-    # with no length restriction there is one growth per distinct part value
-    # plus the new row
-    unrestricted = pieri_add_one_box(lam, len(lam) + 1)
-    assert len(unrestricted) == len(set(lam)) + 1
-    for nu in unrestricted:
-        assert nu.size == lam.size + 1
-        assert nu.contains(lam)
 
 
 def test_standard_tableau_counts_are_integers():

@@ -5,6 +5,7 @@ from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.sympoly import (
     SymPoly,
+    box_schur_expand,
     expansion_to_json,
     product_of_linear_forms,
     schur_expand,
@@ -98,6 +99,8 @@ def test_schur_expand_rejects_bad_input():
         schur_expand(SymPoly(2, {(1, 0): 1}))
     with pytest.raises(NotHomogeneous):
         schur_expand(SymPoly(2, {(1, 1): 1, (1, 0): 1, (0, 1): 1}))
+    with pytest.raises(NotSymmetric):
+        box_schur_expand([(1, 0)], 2, 3)
 
 
 def test_degree_guard_names_the_degree():

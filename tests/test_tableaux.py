@@ -7,11 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schur_isotropy.errors import SizeGuard
-from schur_isotropy.partitions import Partition, partitions_up_to
+from schur_isotropy.partitions import Partition
 from schur_isotropy.tableaux import (
     Tableau,
     count_ssyt,
-    count_ssyt_using_max,
     enumerate_ssyt,
     weight_vectors,
 )
@@ -73,24 +72,6 @@ def test_count_single_column_is_binomial():
             assert count_ssyt(Partition((1,) * d), k) == comb(k, d)
 
 
-def test_count_using_max():
-    assert count_ssyt_using_max(Partition((2, 1)), 3) == 6
-    assert count_ssyt_using_max(Partition((1,)), 4) == 1
-    assert count_ssyt_using_max(Partition((1, 1, 1)), 2) == 0
-
-
-def test_count_using_max_matches_direct_enumeration():
-    # oracle: filter the enumeration for fillings that contain the top entry
-    for lam in [Partition((2, 1)), Partition((2, 2)), Partition((3, 1))]:
-        for k in range(1, 5):
-            direct = sum(
-                1
-                for t in enumerate_ssyt(lam, k)
-                if any(k in row for row in t.rows)
-            )
-            assert count_ssyt_using_max(lam, k) == direct
-
-
 def test_weight_vectors_two_one():
     weights = weight_vectors(Partition((2, 1)), 3)
     assert Counter(weights) == Counter(
@@ -119,14 +100,6 @@ def test_enumeration_agrees_with_count_and_weights(lam, k):
     weights = weight_vectors(lam, k)
     assert len(weights) == len(tableaux)
     assert sum(sum(w) for w in weights) == lam.size * len(tableaux)
-
-
-def test_count_splits_by_top_entry():
-    for lam in partitions_up_to(6):
-        for k in range(1, 7):
-            assert count_ssyt(lam, k) == count_ssyt(lam, k - 1) + count_ssyt_using_max(
-                lam, k
-            )
 
 
 def test_weight_multiset_is_symmetric():
