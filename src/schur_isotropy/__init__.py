@@ -20,7 +20,7 @@ from .isotropy import (
     threshold_n,
     verify_proof_chain,
 )
-from .partitions import Box, Partition, parse_partition
+from .partitions import Partition, parse_partition
 from .schur import (
     DimensionValue,
     dim_schur_module,
@@ -28,25 +28,22 @@ from .schur import (
     schur_ones_recurrence,
 )
 from .sympoly import SymPoly, product_of_linear_forms, schur_expand
-from .tableaux import Tableau, count_ssyt, enumerate_ssyt, weight_vectors
+from .tableaux import count_ssyt, weight_vectors
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgreementCase",
-    "Box",
     "ChernVerdict",
     "DimensionValue",
     "DomainError",
     "InequalityReport",
     "Partition",
     "SymPoly",
-    "Tableau",
     "Verdict",
     "count_ssyt",
     "decide",
     "dim_schur_module",
-    "enumerate_ssyt",
     "min_isotropic_n",
     "parse_partition",
     "product_of_linear_forms",

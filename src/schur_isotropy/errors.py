@@ -21,10 +21,6 @@ class NotWeaklyDecreasing(PartitionError):
     """Parts given out of weakly decreasing order (never silently sorted)."""
 
 
-class BoxOutOfShape(DomainError):
-    """A (row, col) cell that lies outside the shape."""
-
-
 class EmptyPartition(DomainError):
     """An operation that needs at least one box got the empty shape."""
 

@@ -395,8 +395,12 @@ def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...
 def min_isotropic_n(shape: Partition, k: int) -> int:
     """Smallest n >= k for which decide() reports isotropy.
 
-    The scan terminates: beyond all exceptional values of n the binomial or
-    threshold rule applies, and by n = k + dim the oracle fallback is
+    The scan starts at the threshold of the rule that decide() applies at
+    n = k.  No rule reports isotropy below that threshold: the exceptional
+    single-column rules only delay isotropy past the binomial threshold,
+    so the answer is the threshold or a few steps beyond it, and the scan
+    stays short even when the threshold is huge.  The k = 2 oracle
+    fallback has no threshold and is scanned from k; by n = k + dim it is
     guaranteed nonzero since no Schur coefficient is cut by the box bound.
     """
     shape = Partition(shape)
@@ -408,7 +412,8 @@ def min_isotropic_n(shape: Partition, k: int) -> int:
         return k
     dim = schur_ones_hook_content(shape, k)
     bound = max(2 * k, 7, shape.size + 2, k + dim) + 1
-    for n in range(k, bound + 1):
+    start = max(k, decide(shape, k, k).threshold_n or k)
+    for n in range(start, bound + 1):
         if decide(shape, k, n).isotropic:
             return n
     raise OutOfTheoremScope(

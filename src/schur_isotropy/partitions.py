@@ -1,12 +1,11 @@
-"""Partition shapes: parsing, hooks, contents, conjugation, and box surgery."""
+"""Partition shapes: parsing, conjugation, strips, and enumeration by size."""
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import (
-    BoxOutOfShape,
     EmptyPartition,
     MalformedInput,
     NonPositivePart,
@@ -70,13 +69,6 @@ class Partition(tuple):
         return ",".join(map(str, self))
 
 
-class Box(NamedTuple):
-    """1-based (row, col) cell of a shape."""
-
-    row: int
-    col: int
-
-
 def parse_partition(text: str) -> Partition:
     """Parse the canonical "a,b,c" form, tolerating whitespace.
 
@@ -99,32 +91,6 @@ def parse_partition(text: str) -> Partition:
         if right > left:
             raise NotWeaklyDecreasing(f"parts {left},{right} increase")
     return Partition(parts)
-
-
-def boxes(shape: Partition) -> Iterator[Box]:
-    """All boxes of the shape in row-major order."""
-    for row, width in enumerate(shape, start=1):
-        for col in range(1, width + 1):
-            yield Box(row, col)
-
-
-def _require_box(shape: Partition, box: Box) -> None:
-    row, col = box
-    if row < 1 or col < 1 or row > len(shape) or col > shape[row - 1]:
-        raise BoxOutOfShape(f"box {tuple(box)} not in shape {shape.as_text() or '()'}")
-
-
-def hook_length(shape: Partition, box: Box) -> int:
-    """Number of boxes to the right plus boxes below plus one."""
-    _require_box(shape, box)
-    row, col = box
-    return (shape[row - 1] - col) + (shape.conjugate()[col - 1] - row) + 1
-
-
-def content(shape: Partition, box: Box) -> int:
-    """Column index minus row index."""
-    _require_box(shape, box)
-    return box.col - box.row
 
 
 def horizontal_strip_predecessors(shape: Partition) -> list[Partition]:

@@ -13,13 +13,11 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InternalMismatch, InternalNonIntegral
-from .partitions import Partition, boxes, content, hook_length, horizontal_strip_predecessors
+from .partitions import Partition, horizontal_strip_predecessors
 
 # Below this size the production value is re-derived by the recurrence on
 # every call and the two must agree.
 _CROSS_CHECK_LIMIT = 8
-
-_recurrence_cache: dict[tuple[Partition, int], int] = {}
 
 
 @dataclass(frozen=True)
@@ -34,21 +32,26 @@ class DimensionValue:
 def schur_ones_hook_content(shape: Partition, n: int) -> int:
     """Product over boxes of (n + content)/(hook length), exactly.
 
-    Evaluates in exact rational arithmetic and asserts the result is an
-    integer.  A shape with more rows than n picks up a zero factor and the
-    value is 0.
+    The box in row i, column j has content j - i and hook length
+    (shape[i] - j) + (conjugate[j] - i) + 1.  Numerators and hook lengths
+    are multiplied as integers row by row and divided once at the end,
+    which must be exact.  A shape with more rows than n picks up a zero
+    factor and the value is 0.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     shape = Partition(shape)
-    value = Fraction(1)
-    for box in boxes(shape):
-        value *= Fraction(n + content(shape, box), hook_length(shape, box))
-    if value.denominator != 1:
+    heights = shape.conjugate()
+    numerator = hooks = 1
+    for i, width in enumerate(shape, start=1):
+        for j in range(1, width + 1):
+            numerator *= n + j - i
+            hooks *= (width - j) + (heights[j - 1] - i) + 1
+    if numerator % hooks:
         raise InternalNonIntegral(
-            f"hook-content product for {shape!r}, n={n} gave {value}"
+            f"hook-content product for {shape!r}, n={n} gave {numerator}/{hooks}"
         )
-    return value.numerator
+    return numerator // hooks
 
 
 def schur_ones_recurrence(shape: Partition, n: int) -> int:
@@ -56,25 +59,25 @@ def schur_ones_recurrence(shape: Partition, n: int) -> int:
 
     Uses s(shape, n) = sum of s(mu, n-1) over all mu obtained by removing a
     horizontal strip, with s(empty, j) = 1 and s(mu, 0) = 0 for nonempty mu.
-    Memoized on (shape, n) for the life of the process.
+    Memoized on (shape, n) within one call.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    shape = Partition(shape)
-    if not shape:
-        return 1
-    if n == 0 or len(shape) > n:
-        return 0
-    key = (shape, n)
-    cached = _recurrence_cache.get(key)
-    if cached is not None:
-        return cached
-    total = sum(
-        schur_ones_recurrence(mu, n - 1)
-        for mu in horizontal_strip_predecessors(shape)
-    )
-    _recurrence_cache[key] = total
-    return total
+    memo: dict[tuple[Partition, int], int] = {}
+
+    def evaluate(shape: Partition, n: int) -> int:
+        if not shape:
+            return 1
+        if n == 0 or len(shape) > n:
+            return 0
+        key = (shape, n)
+        if key not in memo:
+            memo[key] = sum(
+                evaluate(mu, n - 1) for mu in horizontal_strip_predecessors(shape)
+            )
+        return memo[key]
+
+    return evaluate(Partition(shape), n)
 
 
 def dim_schur_module(shape: Partition, n: int) -> DimensionValue:

@@ -1,4 +1,9 @@
-"""Semistandard tableau enumeration, counting, and weight vectors."""
+"""Semistandard tableaux of a shape: exact counting and weight enumeration.
+
+``count_ssyt`` counts fillings column by column without listing them;
+``weight_vectors`` walks every filling cell by cell and records only its
+weight, the multiset the top-Chern-class oracle needs.
+"""
 
 from __future__ import annotations
 
@@ -8,49 +13,6 @@ from .errors import SizeGuard
 from .partitions import Partition
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
-
-
-class Tableau:
-    """A filling of a shape with rows weakly increasing and columns strictly increasing."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
-        for i, row in enumerate(rows):
-            if not row:
-                raise ValueError("empty row in tableau")
-            if i and len(row) > len(rows[i - 1]):
-                raise ValueError("row lengths must be weakly decreasing")
-            for j, value in enumerate(row):
-                if value < 1:
-                    raise ValueError(f"entry {value} is not positive")
-                if j and row[j - 1] > value:
-                    raise ValueError(f"row {i + 1} is not weakly increasing")
-                if i and rows[i - 1][j] >= value:
-                    raise ValueError(f"column {j + 1} is not strictly increasing")
-        self.rows = rows
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(len(row) for row in self.rows)
-
-    def weight(self, max_entry: int) -> tuple[int, ...]:
-        """Length ``max_entry`` vector whose i-th slot counts entries equal to i+1."""
-        counts = [0] * max_entry
-        for row in self.rows:
-            for value in row:
-                counts[value - 1] += 1
-        return tuple(counts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tableau) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Tableau({[list(row) for row in self.rows]})"
 
 
 def count_ssyt(shape: Partition, max_entry: int) -> int:
@@ -89,22 +51,24 @@ def count_ssyt(shape: Partition, max_entry: int) -> int:
     return sum(ways.values())
 
 
-def enumerate_ssyt(
+def weight_vectors(
     shape: Partition,
     max_entry: int,
     max_tableaux: int = DEFAULT_ENUMERATION_CAP,
-) -> list[Tableau]:
-    """All semistandard fillings in a fixed lexicographic order.
+) -> list[tuple[int, ...]]:
+    """Weight vector of every semistandard filling, with multiplicity.
 
-    The order is lexicographic on the row-major reading word.  Raises
-    SizeGuard when the predicted count exceeds ``max_tableaux``; a shape
-    with more rows than ``max_entry`` yields the empty list.
+    Slot i of a weight counts the entries equal to i+1.  Fillings are
+    walked in lexicographic order of their row-major reading word, and the
+    weights come out in that order.  Raises SizeGuard when the predicted
+    count exceeds ``max_tableaux``; a shape with more rows than
+    ``max_entry`` yields the empty list.
     """
     if max_entry < 0:
         raise ValueError(f"max_entry must be nonnegative, got {max_entry}")
     shape = Partition(shape)
     if not shape:
-        return [Tableau(())]
+        return [(0,) * max_entry]
     if len(shape) > max_entry:
         return []
     predicted = count_ssyt(shape, max_entry)
@@ -115,34 +79,22 @@ def enumerate_ssyt(
         )
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
     grid = [[0] * width for width in shape]
-    found: list[Tableau] = []
+    counts = [0] * max_entry
+    found: list[tuple[int, ...]] = []
 
     def fill(index: int) -> None:
         if index == len(cells):
-            found.append(Tableau(tuple(tuple(row) for row in grid)))
+            found.append(tuple(counts))
             return
         r, c = cells[index]
-        lowest = 1
-        if c:
-            lowest = max(lowest, grid[r][c - 1])
+        lowest = grid[r][c - 1] if c else 1
         if r:
             lowest = max(lowest, grid[r - 1][c] + 1)
         for value in range(lowest, max_entry + 1):
             grid[r][c] = value
+            counts[value - 1] += 1
             fill(index + 1)
-        grid[r][c] = 0
+            counts[value - 1] -= 1
 
     fill(0)
     return found
-
-
-def weight_vectors(
-    shape: Partition,
-    max_entry: int,
-    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
-) -> list[tuple[int, ...]]:
-    """Weight vector of every filling, with multiplicity, in enumeration order."""
-    return [
-        tableau.weight(max_entry)
-        for tableau in enumerate_ssyt(shape, max_entry, max_tableaux)
-    ]

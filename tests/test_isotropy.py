@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from schur_isotropy import isotropy
 from schur_isotropy.chern import top_chern_nonzero
 from schur_isotropy.errors import (
     ChainStepFailed,
@@ -251,6 +252,34 @@ def test_min_isotropic_n():
     assert min_isotropic_n(Partition((2, 2, 2)), 2) == 2
     # the even-ambient exception can delay isotropy past the binomial threshold
     assert min_isotropic_n(Partition((1, 1, 1, 1)), 5) == 7
+
+
+def _first_isotropic_n(lam, k):
+    n = k
+    while not decide(lam, k, n).isotropic:
+        n += 1
+    return n
+
+
+def test_min_isotropic_n_matches_a_scan_from_k():
+    shapes = [lam for lam in partitions_up_to(5) if lam]
+    shapes += [Partition((1,) * d) for d in range(6, 9)]
+    for lam in shapes:
+        for k in range(1, 10 if lam[0] == 1 else 6):
+            assert min_isotropic_n(lam, k) == _first_isotropic_n(lam, k), (lam, k)
+
+
+def test_min_isotropic_n_starts_at_the_threshold(monkeypatch):
+    calls = []
+
+    def counting_decide(shape, k, n):
+        calls.append(n)
+        if len(calls) > 5:
+            raise AssertionError(f"min_isotropic_n scanned n = {calls}")
+        return decide(shape, k, n)
+
+    monkeypatch.setattr(isotropy, "decide", counting_decide)
+    assert min_isotropic_n(Partition((5, 5, 5)), 20) == 14945768674
 
 
 def test_decide_monotone_in_n():

@@ -1,21 +1,14 @@
-from math import factorial, prod
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from schur_isotropy.errors import (
-    BoxOutOfShape,
     MalformedInput,
     NonPositivePart,
     NotWeaklyDecreasing,
 )
 from schur_isotropy.partitions import (
-    Box,
     Partition,
-    boxes,
-    content,
-    hook_length,
     horizontal_strip_predecessors,
     parse_partition,
     partitions_of,
@@ -80,30 +73,6 @@ def test_partition_accessors():
     assert Partition().as_text() == ""
 
 
-def test_hook_lengths_for_two_one():
-    lam = Partition((2, 1))
-    assert hook_length(lam, Box(1, 1)) == 3
-    assert hook_length(lam, Box(1, 2)) == 1
-    assert hook_length(lam, Box(2, 1)) == 1
-    assert hook_length(Partition((1,)), Box(1, 1)) == 1
-
-
-def test_contents_for_two_one():
-    lam = Partition((2, 1))
-    assert content(lam, Box(1, 1)) == 0
-    assert content(lam, Box(1, 2)) == 1
-    assert content(lam, Box(2, 1)) == -1
-
-
-def test_box_out_of_shape():
-    lam = Partition((2, 1))
-    for bad in (Box(2, 2), Box(3, 1), Box(0, 1), Box(1, 3)):
-        with pytest.raises(BoxOutOfShape):
-            hook_length(lam, bad)
-        with pytest.raises(BoxOutOfShape):
-            content(lam, bad)
-
-
 def test_conjugate_known_values():
     assert Partition((3, 2, 1)).conjugate() == Partition((3, 2, 1))
     assert Partition((4, 2)).conjugate() == Partition((2, 2, 1, 1))
@@ -163,16 +132,6 @@ def test_strip_full_height_columns():
     assert strip_full_height_columns(Partition((3, 3, 1))) == Partition((2, 2))
     assert strip_full_height_columns(Partition((4, 4, 4))) == Partition()
     assert strip_full_height_columns(Partition((2, 1))) == Partition((1,))
-
-
-def test_standard_tableau_counts_are_integers():
-    # product of hooks divides |shape|! for every shape with at most 8 boxes
-    for lam in partitions_up_to(8):
-        if not lam:
-            continue
-        hooks = prod(hook_length(lam, b) for b in boxes(lam))
-        assert factorial(lam.size) % hooks == 0
-        assert factorial(lam.size) // hooks >= 1
 
 
 def test_partitions_of_order_and_count():

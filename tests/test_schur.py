@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import (
+    _CROSS_CHECK_LIMIT,
     dim_schur_module,
     dimension_ratio_gain,
     hook_shape_dimension,
@@ -47,6 +48,34 @@ def test_three_routes_agree(lam, n):
     hook = schur_ones_hook_content(lam, n)
     assert hook == schur_ones_recurrence(lam, n)
     assert hook == count_ssyt(lam, n)
+
+
+def _weyl_dimension(lam, n):
+    """prod over i < j <= n of (lam_i - lam_j + j - i)/(j - i)."""
+    if len(lam) > n:
+        return 0
+    parts = list(lam) + [0] * (n - len(lam))
+    value = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value *= Fraction(parts[i] - parts[j] + j - i, j - i)
+    assert value.denominator == 1
+    return value.numerator
+
+
+# many bounded parts, so tall and wide shapes both come up
+_LARGE_SHAPES = st.lists(st.integers(min_value=1, max_value=12), max_size=9).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@given(_LARGE_SHAPES, st.integers(min_value=0, max_value=16))
+@example(Partition((3000, 1500)), 5)
+@example(Partition((5, 5, 5)), 20)
+def test_hook_content_matches_weyl_beyond_the_cross_check(lam, n):
+    # dim_schur_module re-derives only small inputs by the recurrence
+    assume(lam.size > _CROSS_CHECK_LIMIT or n > _CROSS_CHECK_LIMIT)
+    assert schur_ones_hook_content(lam, n) == _weyl_dimension(lam, n)
 
 
 def test_zero_exactly_when_too_many_rows():

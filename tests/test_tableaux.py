@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from schur_isotropy.errors import SizeGuard
 from schur_isotropy.partitions import Partition
-from schur_isotropy.tableaux import (
-    Tableau,
-    count_ssyt,
-    enumerate_ssyt,
-    weight_vectors,
-)
+from schur_isotropy.tableaux import count_ssyt, weight_vectors
 
 from conftest import partitions
 
@@ -31,26 +26,35 @@ TWO_ONE_FILLINGS = [
 ]
 
 
+def _weight(rows, max_entry):
+    return tuple(sum(row.count(v) for row in rows) for v in range(1, max_entry + 1))
+
+
 def test_enumerate_two_one_alphabet_three():
-    tableaux = enumerate_ssyt(Partition((2, 1)), 3)
-    assert [t.rows for t in tableaux] == TWO_ONE_FILLINGS
+    # with a fourth letter, the fillings that do not use it keep their order
+    assert [w[:3] for w in weight_vectors(Partition((2, 1)), 4) if w[3] == 0] == [
+        _weight(rows, 3) for rows in TWO_ONE_FILLINGS
+    ]
 
 
 def test_enumerate_edge_cases():
-    assert enumerate_ssyt(Partition((1, 1, 1)), 2) == []
-    assert [t.rows for t in enumerate_ssyt(Partition((2,)), 2)] == [
-        ((1, 1),),
-        ((1, 2),),
-        ((2, 2),),
-    ]
-    empties = enumerate_ssyt(Partition(), 3)
-    assert len(empties) == 1 and empties[0].rows == ()
+    assert weight_vectors(Partition((1, 1, 1)), 2) == []
+    # fillings 11, 12, 22 of a single row of two boxes
+    assert weight_vectors(Partition((2,)), 2) == [(2, 0), (1, 1), (0, 2)]
+    assert weight_vectors(Partition(), 3) == [(0, 0, 0)]
+    assert weight_vectors(Partition(), 0) == [()]
+    with pytest.raises(ValueError):
+        weight_vectors(Partition((1,)), -1)
 
 
 def test_enumeration_order_is_lexicographic():
-    tableaux = enumerate_ssyt(Partition((2, 2)), 4)
-    words = [sum(t.rows, ()) for t in tableaux]
-    assert words == sorted(words)
+    # (2,2) with entries up to 4: the 20 fillings as reading words, sorted
+    words = sorted(
+        (a, b, c, d)
+        for a in range(1, 5) for b in range(a, 5)
+        for c in range(a + 1, 5) for d in range(max(b + 1, c), 5)
+    )
+    assert weight_vectors(Partition((2, 2)), 4) == [_weight([w], 4) for w in words]
 
 
 def test_count_known_values():
@@ -73,19 +77,9 @@ def test_count_single_column_is_binomial():
 
 
 def test_weight_vectors_two_one():
-    weights = weight_vectors(Partition((2, 1)), 3)
-    assert Counter(weights) == Counter(
-        [
-            (2, 1, 0),
-            (2, 0, 1),
-            (1, 2, 0),
-            (1, 1, 1),
-            (1, 1, 1),
-            (1, 0, 2),
-            (0, 2, 1),
-            (0, 1, 2),
-        ]
-    )
+    assert weight_vectors(Partition((2, 1)), 3) == [
+        _weight(rows, 3) for rows in TWO_ONE_FILLINGS
+    ]
 
 
 def test_weight_vectors_edges():
@@ -95,11 +89,9 @@ def test_weight_vectors_edges():
 
 @given(partitions(max_size=5), st.integers(min_value=0, max_value=4))
 def test_enumeration_agrees_with_count_and_weights(lam, k):
-    tableaux = enumerate_ssyt(lam, k)
-    assert len(tableaux) == count_ssyt(lam, k)
     weights = weight_vectors(lam, k)
-    assert len(weights) == len(tableaux)
-    assert sum(sum(w) for w in weights) == lam.size * len(tableaux)
+    assert len(weights) == count_ssyt(lam, k)
+    assert all(len(w) == k and sum(w) == lam.size for w in weights)
 
 
 def test_weight_multiset_is_symmetric():
@@ -112,25 +104,7 @@ def test_weight_multiset_is_symmetric():
 
 def test_size_guard():
     with pytest.raises(SizeGuard) as excinfo:
-        enumerate_ssyt(Partition((2, 1)), 3, max_tableaux=7)
+        weight_vectors(Partition((2, 1)), 3, max_tableaux=7)
     assert "8" in str(excinfo.value)
     # counting itself is uncapped
     assert count_ssyt(Partition((2, 1)), 3) == 8
-
-
-def test_tableau_validation():
-    Tableau(((1, 1), (2,)))
-    with pytest.raises(ValueError):
-        Tableau(((2, 1),))  # row decreases
-    with pytest.raises(ValueError):
-        Tableau(((1, 1), (1,)))  # column not strict
-    with pytest.raises(ValueError):
-        Tableau(((1,), (2, 2)))  # row lengths increase
-    with pytest.raises(ValueError):
-        Tableau(((0,),))  # entries are positive
-
-
-def test_tableau_weight_and_shape():
-    t = Tableau(((1, 3), (2,)))
-    assert t.shape == Partition((2, 1))
-    assert t.weight(4) == (1, 1, 1, 0)
