@@ -1,19 +1,39 @@
 """Non-vanishing of the top Chern class of Schur-functor bundles on Gr(k, n).
 
-Builds the splitting-principle product of linear forms indexed by tableau
-weights, starting from the Vandermonde product and dropping every monomial
-with an exponent >= n as it multiplies, then reads the Schur coefficients
-of the shapes inside the k x (n - k) box; every other class vanishes on the
-Grassmannian.  What survives decides the verdict; this is the
-machine-checkable counterpart of the closed-form decision rules and is used
-to cross-validate them.
+Two exact computations of the same class, the machine-checkable counterpart
+of the closed-form decision rules:
+
+``top_chern_nonzero`` builds the splitting-principle product of linear forms
+indexed by tableau weights, starting from the Vandermonde product and
+dropping every monomial with an exponent >= n as it multiplies, then reads
+the Schur coefficients of the shapes inside the k x (n - k) box; every
+other class vanishes on the Grassmannian.  What survives decides the verdict
+and is reported.
+
+``localization_integral`` computes one number, the degree of the class times
+sigma_1^(k(n-k)-D), as an Atiyah-Bott sum over the C(n, k) torus-fixed
+points (Atiyah and Bott, Topology 1984).  The bundle is globally generated,
+so the class is a nonnegative sum of Schubert classes (Fulton and
+Lazarsfeld, Ann. Math. 1983) and sigma_1^m meets each of them positively:
+the number is positive exactly when the class is nonzero.  ``run_sweep``
+takes its oracle verdicts from it wherever its predicted cost is under
+LOCALIZATION_COST_CAP.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb, factorial, prod
 
-from .errors import InvalidRange, ZeroBundle
+from .errors import (
+    InternalCheckError,
+    InternalNonIntegral,
+    InvalidRange,
+    SizeGuard,
+    ZeroBundle,
+)
 from .partitions import Partition
 from .schur import schur_ones_hook_content
 from .sympoly import DEFAULT_TERM_CAP, box_schur_expand
@@ -22,6 +42,11 @@ from .tableaux import DEFAULT_ENUMERATION_CAP, weight_vectors
 SHORTCUT_NONE = "none"
 SHORTCUT_DEGREE = "degree-exceeds-top"
 SHORTCUT_EMPTY = "empty-weights"
+
+# The localization_cost above which localization_integral refuses to start.
+# Measured at the cap on a 2-core x86_64: about 1-2 s for k >= 2, about 7 s
+# at k = 1 (n near 5480), where each point's integers run to n * log2(n) bits.
+LOCALIZATION_COST_CAP = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -69,3 +94,90 @@ def top_chern_nonzero(
     weights = weight_vectors(shape, k, max_tableaux)
     surviving = tuple(box_schur_expand(weights, k, n, max_terms).items())
     return ChernVerdict(bool(surviving), degree, surviving, SHORTCUT_NONE)
+
+
+def localization_cost(k: int, n: int, degree: int) -> int:
+    """Predicted work of localization_integral for a bundle of rank degree.
+
+    Each of the C(n, k) fixed points makes one pass over the distinct
+    weights (at most degree of them) and multiplies its k(n - k) linear
+    factors, which also set the size of its integers.
+    """
+    return comb(n, k) * (degree + k * (n - k))
+
+
+def localization_integral(
+    shape: Partition,
+    k: int,
+    n: int,
+    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
+) -> int:
+    """The degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on Gr(k, n).
+
+    Atiyah-Bott localization with torus weights t = 0..n-1: a fixed point is
+    a k-subset I, where each tableau weight w gives the Chern root w.I, the
+    lift of sigma_1 is sum(I) and the tangent weights are j - i (i in I, j
+    not in I).  Their product over all j != i is (-1)^i i! (n-1-i)!, so the
+    sum runs over plain integers, V(I)^2 * prod (-1)^i C(n-1, i) standing in
+    for the inverse tangent Euler class, and ends in one exact division by
+    ((n-1)!)^k; a remainder or a negative value raises InternalCheckError.
+    Positive exactly when the top Chern class is nonzero (see the module
+    docstring); 0 at once when D > k(n - k).  Raises SizeGuard before any
+    work when localization_cost exceeds LOCALIZATION_COST_CAP.
+    """
+    if k < 1 or k > n:
+        raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    shape = Partition(shape)
+    if len(shape) > k:
+        raise ZeroBundle(
+            f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
+        )
+    top = k * (n - k)
+    degree = schur_ones_hook_content(shape, k)
+    if degree > top or not shape:
+        return 0
+    cost = localization_cost(k, n, degree)
+    if cost > LOCALIZATION_COST_CAP:
+        raise SizeGuard(
+            f"localization on Gr({k},{n}) predicts cost {cost}"
+            f" ({comb(n, k)} fixed points times {degree} + {top}), over the cap"
+            f" {LOCALIZATION_COST_CAP}"
+        )
+    weights, mults = zip(*Counter(weight_vectors(shape, k, max_tableaux)).items())
+    columns = list(zip(*weights))
+    signed = [(-1) ** i * comb(n - 1, i) for i in range(n)]
+    # prefix[s] holds, for the first s entries of a fixed point: the partial
+    # dot products with every weight, the product of the signed binomials
+    # times the squared Vandermonde, and the entry sum.  Fixed points come in
+    # lex order, so consecutive ones share all but a short suffix.
+    prefix = [([0] * len(mults), 1, 0)] + [None] * k
+    start = 0
+    total = 0
+    for point in combinations(range(n), k):
+        for s in range(start, k):
+            i = point[s]
+            dots, factor, entries = prefix[s]
+            prefix[s + 1] = (
+                [d + c * i for d, c in zip(dots, columns[s])],
+                factor * signed[i] * prod(i - a for a in point[:s]) ** 2,
+                entries + i,
+            )
+        dots, factor, entries = prefix[k]
+        total += prod(map(pow, dots, mults)) * factor * entries ** (top - degree)
+        start = k - 1
+        while start and point[start] == n - k + start:
+            start -= 1
+    if (k * (k - 1) // 2 + top) % 2:
+        total = -total
+    value, remainder = divmod(total, factorial(n - 1) ** k)
+    if remainder:
+        raise InternalNonIntegral(
+            f"localization sum for {shape.as_text()} on Gr({k},{n}) is not"
+            f" divisible by ((n-1)!)^k"
+        )
+    if value < 0:
+        raise InternalCheckError(
+            f"localization integral for {shape.as_text()} on Gr({k},{n}) is"
+            f" negative ({value})"
+        )
+    return value

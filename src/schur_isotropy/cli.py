@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, lam=False, k=False, n=False, caps=False):
+    def add_common(p, *, lam=False, k=False, n=False, caps=False, terms=False):
         if lam:
             p.add_argument(
                 "--lambda", dest="lam", type=_partition_arg, required=True,
@@ -103,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-tableaux", type=_positive_int,
                            default=DEFAULT_ENUMERATION_CAP,
                            help="enumeration cap (default %(default)s)")
+        if terms:
             p.add_argument("--max-terms", type=_positive_int,
                            default=DEFAULT_TERM_CAP,
                            help="polynomial term cap (default %(default)s)")
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, lam=True, k=True)
 
     p = sub.add_parser("oracle", help="top Chern class test on Gr(k, n)")
-    add_common(p, lam=True, k=True, n=True, caps=True)
+    add_common(p, lam=True, k=True, n=True, caps=True, terms=True)
 
     p = sub.add_parser("check-lemma36",
                        help="interlacing inequality family dim <= (k-i)(n-k-i)")
@@ -268,14 +269,12 @@ def _cmd_proof_chain(args):
 def _cmd_sweep(args):
     cases = run_sweep(
         args.max_size, args.max_k, args.max_n,
-        with_oracle=args.with_oracle,
-        max_tableaux=args.max_tableaux, max_terms=args.max_terms,
+        with_oracle=args.with_oracle, max_tableaux=args.max_tableaux,
     )
     disagreements = sum(1 for c in cases if c.agree is False)
     compared = sum(1 for c in cases if c.oracle_nonzero is not None)
     inputs = {"max_size": args.max_size, "max_k": args.max_k, "max_n": args.max_n,
-              "with_oracle": args.with_oracle,
-              "max_tableaux": args.max_tableaux, "max_terms": args.max_terms}
+              "with_oracle": args.with_oracle, "max_tableaux": args.max_tableaux}
     result = {
         "total": len(cases),
         "compared": compared,

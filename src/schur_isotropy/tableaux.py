@@ -1,13 +1,14 @@
 """Semistandard tableaux of a shape: exact counting and weight enumeration.
 
 ``count_ssyt`` counts fillings column by column without listing them;
-``weight_vectors`` walks every filling cell by cell and records only its
+``weight_vectors`` walks every filling row by row and records only its
 weight, the multiset the top-Chern-class oracle needs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import gt
 
 from .errors import SizeGuard
 from .partitions import Partition
@@ -77,24 +78,24 @@ def weight_vectors(
             f"{predicted} tableaux of shape {shape.as_text()} with entries"
             f" up to {max_entry} exceeds the cap {max_tableaux}"
         )
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    grid = [[0] * width for width in shape]
     counts = [0] * max_entry
     found: list[tuple[int, ...]] = []
 
-    def fill(index: int) -> None:
-        if index == len(cells):
+    # one call per row, so the depth is the number of rows: each row is a
+    # nondecreasing sequence, in lex order, kept if it lies strictly below
+    # the row above it
+    def fill(r: int, above: tuple[int, ...]) -> None:
+        if r == len(shape):
             found.append(tuple(counts))
             return
-        r, c = cells[index]
-        lowest = grid[r][c - 1] if c else 1
-        if r:
-            lowest = max(lowest, grid[r - 1][c] + 1)
-        for value in range(lowest, max_entry + 1):
-            grid[r][c] = value
-            counts[value - 1] += 1
-            fill(index + 1)
-            counts[value - 1] -= 1
+        alphabet = range(above[0] + 1, max_entry + 1)
+        for row in combinations_with_replacement(alphabet, shape[r]):
+            if all(map(gt, row, above)):
+                for value in row:
+                    counts[value - 1] += 1
+                fill(r + 1, row)
+                for value in row:
+                    counts[value - 1] -= 1
 
-    fill(0)
+    fill(0, (0,) * shape[0])
     return found

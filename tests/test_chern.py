@@ -1,7 +1,13 @@
 import pytest
 
-from schur_isotropy.chern import top_chern_nonzero
-from schur_isotropy.errors import DegreeGuard, InvalidRange, ZeroBundle
+from schur_isotropy import chern
+from schur_isotropy.chern import localization_integral, top_chern_nonzero
+from schur_isotropy.errors import (
+    DegreeGuard,
+    InvalidRange,
+    SizeGuard,
+    ZeroBundle,
+)
 from schur_isotropy.isotropy import AgreementCase, run_sweep
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import schur_ones_hook_content
@@ -23,6 +29,8 @@ def test_two_one_on_c6_survives():
     assert verdict.degree == 8
     assert verdict.shortcut == "none"
     assert verdict.surviving == ((Partition((3, 3, 2)), 105),)
+    # sigma_1 meets sigma_(3,3,2) once on Gr(3,6), so the integral is c_(3,3,2)
+    assert localization_integral(Partition((2, 1)), 3, 6) == 105
 
 
 def test_degree_shortcut():
@@ -96,6 +104,99 @@ def test_survivors_match_the_full_expansion_cut_to_the_box():
                 assert list(verdict.surviving) == expected, (lam, k, n)
                 checked += 1
     assert checked == 268
+
+
+def _standard_fillings_to_the_box(k, width):
+    # f[mu] counts the ways to grow mu (k parts, zeros kept) into the
+    # k x width box one box at a time, each step a partition: the standard
+    # fillings of the skew shape box/mu
+    f = {}
+    for mu in sorted(_shapes_in_box(k, width), key=sum, reverse=True):
+        grown = [
+            mu[:r] + (mu[r] + 1,) + mu[r + 1:]
+            for r in range(k)
+            if mu[r] < width and (r == 0 or mu[r - 1] > mu[r])
+        ]
+        f[mu] = sum(f[g] for g in grown) if grown else 1
+    return f
+
+
+def _shapes_in_box(k, width):
+    if k == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(width + 1)
+        for rest in _shapes_in_box(k - 1, first)
+    ]
+
+
+def test_localization_integral_pairs_the_survivors_with_sigma_1():
+    # the integral is sum_mu c_mu * deg(sigma_mu * sigma_1^m), and that degree
+    # counts the standard fillings of the box minus mu, over the grid of the
+    # reference test above
+    checked = zeros = 0
+    for lam in partitions_up_to(5):
+        if not lam:
+            continue
+        for k in range(len(lam), 6):
+            if schur_ones_hook_content(lam, k) > min(40, k * (10 - k)):
+                continue
+            for n in range(k + 1, 11):
+                verdict = top_chern_nonzero(lam, k, n)
+                if verdict.shortcut != "none":
+                    continue
+                f = _standard_fillings_to_the_box(k, n - k)
+                expected = sum(
+                    c * f[tuple(mu) + (0,) * (k - len(mu))]
+                    for mu, c in verdict.surviving
+                )
+                assert localization_integral(lam, k, n) == expected, (lam, k, n)
+                checked += 1
+                zeros += expected == 0
+    assert checked == 268
+    assert 0 < zeros < checked
+
+
+def test_localization_integral_shortcuts_and_guards():
+    # degree 3 exceeds dim Gr(2,3) = 2
+    assert localization_integral(Partition((2,)), 2, 3) == 0
+    assert localization_integral(Partition(), 2, 4) == 0
+    with pytest.raises(InvalidRange):
+        localization_integral(Partition((1,)), 3, 2)
+    with pytest.raises(ZeroBundle):
+        localization_integral(Partition((1, 1, 1)), 2, 5)
+    with pytest.raises(SizeGuard):
+        localization_integral(Partition((1,)), 1, 10**6)
+    # c_1 of O(1200) on P^2 is 1200 times the hyperplane class
+    assert localization_integral(Partition((1200,)), 1, 3) == 1200
+    # c_1(O(1)) * sigma_1^3 on P^4 is the class of a point
+    assert localization_integral(Partition((1,)), 1, 5) == 1
+
+
+def test_a_sweep_at_large_n_passes_the_cost_guard(monkeypatch):
+    # k = 6, n = 23 has 100947 fixed points; the expansion answers (1,) there
+    # at once, so the guard must let the sum run too, with no fallback
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the sweep fell back to the expansion")
+
+    monkeypatch.setattr(chern, "top_chern_nonzero", no_expansion)
+    cases = run_sweep(1, 6, 23, with_oracle=True)
+    last = cases[-1]
+    assert (last.shape, last.k, last.n, last.oracle_nonzero) == ((1,), 6, 23, True)
+    assert all(case.agree for case in cases)
+
+
+def test_the_sweep_falls_back_to_the_expansion_past_the_cost_cap(monkeypatch):
+    expected = run_sweep(3, 4, 8, with_oracle=True)
+    monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", 0)
+    with pytest.raises(SizeGuard):
+        localization_integral(Partition((1,)), 1, 2)
+    assert run_sweep(3, 4, 8, with_oracle=True) == expected
+
+
+def test_a_long_row_reaches_the_oracle():
+    assert top_chern_nonzero(Partition((1200,)), 1, 3).nonzero is True
 
 
 def test_skew_two_form_oracle_flips_at_2k_minus_1():

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -133,17 +132,16 @@ def test_sweep_json_small_grid_agrees(capsys):
 
 
 def test_sweep_exit_code_on_disagreement(capsys, monkeypatch):
-    # flip the oracle at a single case; the sweep must report that one
-    # disagreement through the dedicated exit code
-    true_oracle = chern.top_chern_nonzero
+    # zero the sweep's oracle at a single case; the sweep must report that
+    # one disagreement through the dedicated exit code
+    true_oracle = chern.localization_integral
 
-    def flipped_oracle(shape, k, n, *args, **kwargs):
-        verdict = true_oracle(shape, k, n, *args, **kwargs)
+    def zeroed_oracle(shape, k, n, *args, **kwargs):
         if (tuple(shape), k, n) == ((1, 1), 2, 3):
-            verdict = replace(verdict, nonzero=not verdict.nonzero)
-        return verdict
+            return 0
+        return true_oracle(shape, k, n, *args, **kwargs)
 
-    monkeypatch.setattr(chern, "top_chern_nonzero", flipped_oracle)
+    monkeypatch.setattr(chern, "localization_integral", zeroed_oracle)
     code, envelope = run_json(
         capsys,
         ["sweep", "--max-size", "2", "--max-k", "2", "--max-n", "4", "--with-oracle"],

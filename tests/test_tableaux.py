@@ -102,6 +102,12 @@ def test_weight_multiset_is_symmetric():
             assert permuted == weights
 
 
+def test_a_long_row_walks_without_recursion():
+    # a walk that recursed once per cell would overflow the interpreter stack
+    assert weight_vectors(Partition((1200,)), 1) == [(1200,)]
+    assert len(weight_vectors(Partition((1200,)), 2)) == 1201
+
+
 def test_size_guard():
     with pytest.raises(SizeGuard) as excinfo:
         weight_vectors(Partition((2, 1)), 3, max_tableaux=7)
