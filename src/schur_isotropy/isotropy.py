@@ -22,7 +22,6 @@ larger.  It is k-isotropic iff n >= 2k-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -71,8 +70,7 @@ RULES = (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Isotropy decision plus the rule that produced it.
 
     ``threshold_n`` is the smallest ambient dimension giving isotropy under
@@ -93,8 +91,7 @@ class InequalityRow(NamedTuple):
     holds: bool
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """The interlacing inequality family dim(C^(k-i)) <= (k-i)(n-k-i)."""
 
     shape: Partition
@@ -107,8 +104,7 @@ class InequalityReport:
         return all(row.holds for row in self.rows)
 
 
-@dataclass(frozen=True)
-class AgreementCase:
+class AgreementCase(NamedTuple):
     """One (shape, k, n) instance compared between decision rule and oracle."""
 
     shape: Partition
@@ -434,11 +430,11 @@ def run_sweep(
     rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
     wherever the oracle caps allow.
 
-    The oracle verdict is whether chern.localization_integral is positive,
+    The oracle verdict is whether chern.localization_integrals is positive,
     which holds exactly when the top Chern class is nonzero; it agrees with
-    top_chern_nonzero without building its truncated Schur expansion.  Where
-    the integral's predicted cost is over its cap (large n), the verdict
-    comes from top_chern_nonzero instead.
+    top_chern_nonzero without building its truncated Schur expansion.  One
+    call per (shape, k) answers every n whose predicted cost is under the
+    cap; past it (large n) the verdict comes from top_chern_nonzero instead.
     Order is deterministic: shapes by size then lex-decreasing, then k, then n.
     """
     cases = []
@@ -446,20 +442,25 @@ def run_sweep(
         if not shape:
             continue
         for k in range(len(shape), max_k + 1):
-            for n in range(k + 1, max_n + 1):
+            ns = range(k + 1, max_n + 1)
+            integrals = None
+            degree = schur_ones_hook_content(shape, k)
+            if with_oracle and k <= k_cap and degree <= dim_cap:
+                cheap = [
+                    n for n in ns
+                    if chern.localization_cost(k, n, degree)
+                    <= chern.LOCALIZATION_COST_CAP
+                ]
+                integrals = chern.localization_integrals(
+                    shape, k, cheap, max_tableaux
+                )
+            for n in ns:
                 verdict = decide(shape, k, n)
                 oracle = None
-                if (
-                    with_oracle
-                    and k <= k_cap
-                    and schur_ones_hook_content(shape, k) <= dim_cap
-                ):
-                    try:
-                        oracle = (
-                            chern.localization_integral(shape, k, n, max_tableaux)
-                            > 0
-                        )
-                    except SizeGuard:
+                if integrals is not None:
+                    if n in integrals:
+                        oracle = integrals[n] > 0
+                    else:
                         # the sum grows with C(n, k); the expansion does not
                         oracle = chern.top_chern_nonzero(
                             shape, k, n, max_tableaux

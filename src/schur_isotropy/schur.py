@@ -8,9 +8,9 @@ golden values by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import InternalMismatch, InternalNonIntegral
 from .partitions import Partition, horizontal_strip_predecessors
@@ -20,8 +20,7 @@ from .partitions import Partition, horizontal_strip_predecessors
 _CROSS_CHECK_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class DimensionValue:
+class DimensionValue(NamedTuple):
     """Dimension of the degree-``shape`` symmetry module over C^n."""
 
     value: int

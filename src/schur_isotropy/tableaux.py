@@ -78,17 +78,22 @@ def weight_vectors(
             f"{predicted} tableaux of shape {shape.as_text()} with entries"
             f" up to {max_entry} exceeds the cap {max_tableaux}"
         )
+    heights = shape.conjugate()
     counts = [0] * max_entry
     found: list[tuple[int, ...]] = []
 
     # one call per row, so the depth is the number of rows: each row is a
     # nondecreasing sequence, in lex order, kept if it lies strictly below
-    # the row above it
+    # the row above it.  The alphabet stops where the row's last column
+    # still has room for the cells below it, so no row is tried that no
+    # filling completes there (a tall column would otherwise cost
+    # exponential time for its single filling).
     def fill(r: int, above: tuple[int, ...]) -> None:
         if r == len(shape):
             found.append(tuple(counts))
             return
-        alphabet = range(above[0] + 1, max_entry + 1)
+        below = heights[shape[r] - 1] - 1 - r
+        alphabet = range(above[0] + 1, max_entry - below + 1)
         for row in combinations_with_replacement(alphabet, shape[r]):
             if all(map(gt, row, above)):
                 for value in row:

@@ -1,7 +1,7 @@
 import pytest
 
 from schur_isotropy import chern
-from schur_isotropy.chern import localization_integral, top_chern_nonzero
+from schur_isotropy.chern import localization_integrals, top_chern_nonzero
 from schur_isotropy.errors import (
     DegreeGuard,
     InvalidRange,
@@ -30,7 +30,7 @@ def test_two_one_on_c6_survives():
     assert verdict.shortcut == "none"
     assert verdict.surviving == ((Partition((3, 3, 2)), 105),)
     # sigma_1 meets sigma_(3,3,2) once on Gr(3,6), so the integral is c_(3,3,2)
-    assert localization_integral(Partition((2, 1)), 3, 6) == 105
+    assert localization_integrals(Partition((2, 1)), 3, [6])[6] == 105
 
 
 def test_degree_shortcut():
@@ -151,7 +151,7 @@ def test_localization_integral_pairs_the_survivors_with_sigma_1():
                     c * f[tuple(mu) + (0,) * (k - len(mu))]
                     for mu, c in verdict.surviving
                 )
-                assert localization_integral(lam, k, n) == expected, (lam, k, n)
+                assert localization_integrals(lam, k, [n])[n] == expected, (lam, k, n)
                 checked += 1
                 zeros += expected == 0
     assert checked == 268
@@ -160,18 +160,18 @@ def test_localization_integral_pairs_the_survivors_with_sigma_1():
 
 def test_localization_integral_shortcuts_and_guards():
     # degree 3 exceeds dim Gr(2,3) = 2
-    assert localization_integral(Partition((2,)), 2, 3) == 0
-    assert localization_integral(Partition(), 2, 4) == 0
+    assert localization_integrals(Partition((2,)), 2, [3])[3] == 0
+    assert localization_integrals(Partition(), 2, [4])[4] == 0
     with pytest.raises(InvalidRange):
-        localization_integral(Partition((1,)), 3, 2)
+        localization_integrals(Partition((1,)), 3, [2])[2]
     with pytest.raises(ZeroBundle):
-        localization_integral(Partition((1, 1, 1)), 2, 5)
+        localization_integrals(Partition((1, 1, 1)), 2, [5])[5]
     with pytest.raises(SizeGuard):
-        localization_integral(Partition((1,)), 1, 10**6)
+        localization_integrals(Partition((1,)), 1, [10**6])[10**6]
     # c_1 of O(1200) on P^2 is 1200 times the hyperplane class
-    assert localization_integral(Partition((1200,)), 1, 3) == 1200
+    assert localization_integrals(Partition((1200,)), 1, [3])[3] == 1200
     # c_1(O(1)) * sigma_1^3 on P^4 is the class of a point
-    assert localization_integral(Partition((1,)), 1, 5) == 1
+    assert localization_integrals(Partition((1,)), 1, [5])[5] == 1
 
 
 def test_a_sweep_at_large_n_passes_the_cost_guard(monkeypatch):
@@ -191,8 +191,42 @@ def test_the_sweep_falls_back_to_the_expansion_past_the_cost_cap(monkeypatch):
     expected = run_sweep(3, 4, 8, with_oracle=True)
     monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", 0)
     with pytest.raises(SizeGuard):
-        localization_integral(Partition((1,)), 1, 2)
+        localization_integrals(Partition((1,)), 1, [2])[2]
     assert run_sweep(3, 4, 8, with_oracle=True) == expected
+
+
+def test_a_window_split_by_the_cost_cap_keeps_its_cases(monkeypatch):
+    expected = run_sweep(3, 4, 10, with_oracle=True)
+    two_one = Partition((2, 1))
+    degree = schur_ones_hook_content(two_one, 4)
+    # (2,1) at k = 4 is summed up to n = 8 and expanded from n = 9 on
+    cap = chern.localization_cost(4, 8, degree)
+    assert chern.localization_cost(4, 9, degree) > cap
+    monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", cap)
+    with pytest.raises(SizeGuard):
+        localization_integrals(two_one, 4, range(5, 11))
+    expanded = []
+    true_expansion = chern.top_chern_nonzero
+
+    def recording(shape, k, n, *args, **kwargs):
+        expanded.append((tuple(shape), k, n))
+        return true_expansion(shape, k, n, *args, **kwargs)
+
+    monkeypatch.setattr(chern, "top_chern_nonzero", recording)
+    assert run_sweep(3, 4, 10, with_oracle=True) == expected
+    assert ((2, 1), 4, 9) in expanded and ((2, 1), 4, 8) not in expanded
+
+
+def test_one_pass_over_n_matches_one_call_per_n():
+    for lam in (Partition((2, 1)), Partition((1, 1, 1)), Partition((3,))):
+        for k in (3, 4):
+            ns = range(k, k + 7)
+            together = localization_integrals(lam, k, ns)
+            assert list(together) == list(ns)
+            assert together == {
+                n: localization_integrals(lam, k, [n])[n] for n in ns
+            }, (lam, k)
+            assert any(together.values()), (lam, k)
 
 
 def test_a_long_row_reaches_the_oracle():

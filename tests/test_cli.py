@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -134,14 +137,15 @@ def test_sweep_json_small_grid_agrees(capsys):
 def test_sweep_exit_code_on_disagreement(capsys, monkeypatch):
     # zero the sweep's oracle at a single case; the sweep must report that
     # one disagreement through the dedicated exit code
-    true_oracle = chern.localization_integral
+    true_oracle = chern.localization_integrals
 
-    def zeroed_oracle(shape, k, n, *args, **kwargs):
-        if (tuple(shape), k, n) == ((1, 1), 2, 3):
-            return 0
-        return true_oracle(shape, k, n, *args, **kwargs)
+    def zeroed_oracle(shape, k, ns, *args, **kwargs):
+        values = true_oracle(shape, k, ns, *args, **kwargs)
+        if (tuple(shape), k) == ((1, 1), 2) and 3 in values:
+            values[3] = 0
+        return values
 
-    monkeypatch.setattr(chern, "localization_integral", zeroed_oracle)
+    monkeypatch.setattr(chern, "localization_integrals", zeroed_oracle)
     code, envelope = run_json(
         capsys,
         ["sweep", "--max-size", "2", "--max-k", "2", "--max-n", "4", "--with-oracle"],
@@ -226,3 +230,19 @@ def test_enumeration_cap_flag(capsys):
     )
     assert code == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_the_cli_import_leaves_dataclasses_out():
+    # dataclasses (and the inspect module it pulls in) cost about 10 ms at
+    # every CLI start
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, schur_isotropy.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"

@@ -114,3 +114,12 @@ def test_size_guard():
     assert "8" in str(excinfo.value)
     # counting itself is uncapped
     assert count_ssyt(Partition((2, 1)), 3) == 8
+
+
+def test_a_tall_column_walks_only_its_filling():
+    # a walk that tried every row entry up to max_entry would take about half
+    # an hour here, though the column has a single filling
+    assert weight_vectors(Partition((1,) * 30), 30) == [(1,) * 30]
+    # a hook: its column is forced to 1..30 and its arm box takes any entry
+    hook = weight_vectors(Partition((2,) + (1,) * 29), 30)
+    assert len(hook) == count_ssyt(Partition((2,) + (1,) * 29), 30)
