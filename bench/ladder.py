@@ -5,15 +5,18 @@ Run from the repository root:
     python3 bench/ladder.py OUT.json
 
 Each (rung, route) runs REPEATS times, each in a fresh interpreter that
-imports the package from ``src/`` and times only the call.  A rung is a
-shape, a k and a run of n.  The routes are ``localization``
-(``chern.localization_integrals``, the sweep's verdict, one call for the
-whole run of n) and ``expansion`` (``chern.top_chern_nonzero``, the
-truncated Schur expansion, one call per n), the latter only on rungs marked
-for it.  The report lists, per rung, the predicted cost that the
-localization guard reads at the largest n (``chern.localization_cost``),
-every timing in seconds, their median, and each route's verdict per n; a
-rung whose routes disagree makes the script exit 1.
+imports the package from ``src/`` and times only the calls.  A rung is one
+or more shapes, a k and a run of n.  The routes are ``localization``
+(``chern.localization_integrals``, the sweep's verdict, one one-shape batch
+per shape for the whole run of n), ``batch`` (one call for all the rung's
+shapes together, as ``run_sweep`` makes per k) and ``expansion``
+(``chern.top_chern_nonzero``, the truncated Schur expansion, one call per
+n), the latter two only on rungs marked for them.  The report lists, per
+rung, the predicted cost that the localization guard reads at the largest n
+(``chern.localization_cost``, summed over the shapes), every timing in
+seconds, their median, and each route's verdict per shape and n.  A rung
+whose routes disagree, or whose batch values differ from its one-shape
+batches, makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -30,38 +33,59 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEATS = 3
 
-# (shape, k, the run of n, run the expansion too)
+# (the shapes, or a size standing for every shape up to it with at most k
+# rows; k; the run of n; the routes beside localization)
 RUNGS = (
-    ((2, 1), 5, (13,), True),
-    ((1, 1, 1), 6, (12,), True),
-    ((3,), 5, (13,), True),
-    ((2, 1), 6, (18,), False),
-    ((2, 1), 5, tuple(range(6, 14)), False),
-    ((1, 1), 6, tuple(range(7, 21)), False),
+    (((2, 1),), 5, (13,), ("expansion",)),
+    (((1, 1, 1),), 6, (12,), ("expansion",)),
+    (((3,),), 5, (13,), ("expansion",)),
+    (((2, 1),), 6, (18,), ()),
+    (((2, 1),), 5, tuple(range(6, 14)), ()),
+    (((1, 1),), 6, tuple(range(7, 21)), ()),
+    (5, 5, tuple(range(6, 11)), ("batch",)),
 )
 
 CHILD = """\
 import json, sys
 from time import perf_counter
 from schur_isotropy import chern
+from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import schur_ones_hook_content
-route, shape, k, ns = sys.argv[1], tuple(json.loads(sys.argv[2])), int(sys.argv[3]), json.loads(sys.argv[4])
+route, shapes, k, ns = sys.argv[1], json.loads(sys.argv[2]), int(sys.argv[3]), json.loads(sys.argv[4])
+if isinstance(shapes, int):
+    shapes = [shape for shape in partitions_up_to(shapes) if shape and len(shape) <= k]
+shapes = [Partition(shape) for shape in shapes]
 start = perf_counter()
-if route == "localization":
-    values = chern.localization_integrals(shape, k, ns)
-    nonzero = [values[n] > 0 for n in ns]
+if route == "batch":
+    values = chern.localization_integrals(dict.fromkeys(shapes, ns), k)
+elif route == "localization":
+    values = {}
+    for shape in shapes:
+        values.update(chern.localization_integrals({shape: ns}, k))
 else:
-    nonzero = [chern.top_chern_nonzero(shape, k, n).nonzero for n in ns]
+    values = {
+        shape: {n: int(chern.top_chern_nonzero(shape, k, n).nonzero) for n in ns}
+        for shape in shapes
+    }
 seconds = perf_counter() - start
-cost = chern.localization_cost(k, max(ns), schur_ones_hook_content(shape, k))
-print(json.dumps({"s": seconds, "nonzero": nonzero, "cost": cost}))
+print(json.dumps({
+    "s": seconds,
+    "shapes": shapes,
+    "nonzero": [[values[shape][n] > 0 for n in ns] for shape in shapes],
+    "values": [[str(values[shape][n]) for n in ns] for shape in shapes],
+    "cost": sum(
+        chern.localization_cost(k, max(ns), schur_ones_hook_content(shape, k))
+        for shape in shapes
+    ),
+}))
 """
 
 
-def time_once(route: str, shape: tuple[int, ...], k: int, ns: tuple[int, ...]) -> dict:
+def time_once(route: str, shapes, k: int, ns: tuple[int, ...]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, route, json.dumps(shape), str(k), json.dumps(ns)],
+        [sys.executable, "-c", CHILD, route, json.dumps(shapes), str(k),
+         json.dumps(ns)],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
     return json.loads(done.stdout)
@@ -74,21 +98,27 @@ def main() -> int:
 
     rungs = []
     agree = True
-    for shape, k, ns, with_expansion in RUNGS:
-        routes = ("localization", "expansion") if with_expansion else ("localization",)
-        rung = {"lambda": list(shape), "k": k, "n": list(ns)}
-        verdicts = set()
-        for route in routes:
-            runs = [time_once(route, shape, k, ns) for _ in range(REPEATS)]
-            rung["predicted_cost"] = runs[0]["cost"]
-            verdicts.update(tuple(run["nonzero"]) for run in runs)
+    for shapes, k, ns, others in RUNGS:
+        rung, verdicts, values = {}, set(), set()
+        for route in ("localization",) + others:
+            runs = [time_once(route, shapes, k, ns) for _ in range(REPEATS)]
+            if not rung:
+                label = runs[0]["shapes"]
+                rung = {"lambda": label[0]} if len(label) == 1 else {"shapes": label}
+                rung.update(k=k, n=list(ns), predicted_cost=runs[0]["cost"])
+            nonzero = runs[0]["nonzero"]
+            if "lambda" in rung:
+                nonzero = nonzero[0]
+            verdicts.update(json.dumps(run["nonzero"]) for run in runs)
+            if route != "expansion":
+                values.update(json.dumps(run["values"]) for run in runs)
             seconds = [round(run["s"], 4) for run in runs]
             rung[route] = {
                 "seconds": seconds,
                 "median_s": round(statistics.median(seconds), 4),
-                "nonzero": runs[0]["nonzero"],
+                "nonzero": nonzero,
             }
-        agree = agree and len(verdicts) == 1
+        agree = agree and len(verdicts) == 1 and len(values) == 1
         rungs.append(rung)
         print(json.dumps(rung), flush=True)
 

@@ -10,15 +10,15 @@ the Schur coefficients of the shapes inside the k x (n - k) box; every
 other class vanishes on the Grassmannian.  What survives decides the verdict
 and is reported.
 
-``localization_integrals`` computes one number per n, the degree of the
-class times sigma_1^(k(n-k)-D), as an Atiyah-Bott sum over the C(n, k)
+``localization_integrals`` computes, per shape and n at one k, the degree of
+the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
 torus-fixed points (Atiyah and Bott, Topology 1984); one pass over the
-fixed points of the largest n serves every smaller n too.  The bundle is
+fixed points of the largest n serves every shape and n.  The bundle is
 globally generated, so the class is a nonnegative sum of Schubert classes
 (Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m meets each of them
 positively: the number is positive exactly when the class is nonzero.
-``run_sweep`` takes its oracle verdicts from it wherever its predicted cost
-is under LOCALIZATION_COST_CAP.
+``run_sweep`` makes one call per k and takes its oracle verdicts from it
+wherever the predicted cost of a (shape, n) is under LOCALIZATION_COST_CAP.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb, factorial, prod
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     InternalCheckError,
@@ -46,8 +46,8 @@ SHORTCUT_NONE = "none"
 SHORTCUT_DEGREE = "degree-exceeds-top"
 SHORTCUT_EMPTY = "empty-weights"
 
-# The localization_cost, at any one n, above which localization_integrals
-# refuses to start.
+# The localization_cost at any one (shape, n) above which localization_integrals
+# refuses to start; a batch is predicted to cost at most its shapes' passes.
 # Measured at the cap on a 2-core x86_64: about 1-2 s for k >= 2, about 7 s
 # at k = 1 (n near 5480), where each point's integers run to n * log2(n) bits.
 LOCALIZATION_COST_CAP = 30_000_000
@@ -110,20 +110,24 @@ def localization_cost(k: int, n: int, degree: int) -> int:
 
 
 def localization_integrals(
-    shape: Partition,
+    runs: Mapping[Partition, Iterable[int]],
     k: int,
-    ns: Iterable[int],
     max_tableaux: int = DEFAULT_ENUMERATION_CAP,
-) -> dict[int, int]:
-    """The degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on Gr(k, n), per n in ns.
+) -> dict[Partition, dict[int, int]]:
+    """{shape: {n: the degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on
+    Gr(k, n)}} for each shape and n of ``runs``, a map from shape to its n.
 
     Atiyah-Bott localization: a fixed point of Gr(k, n) is a k-subset I of
     0..n-1, where each tableau weight w gives the Chern root w.t_I, the lift
     of sigma_1 is the sum of t_I and the tangent weights are t_j - t_i (i in
-    I, j not in I).  One pass over the subsets of 0..N-1, N the largest n,
-    answers every n at once: a point I is a fixed point of Gr(k, n) for
-    every n > max(I), and its product of roots times V(I)^2 does not depend
-    on n, so it is formed once and added to each such n's sum.
+    I, j not in I).  I is a fixed point for every n > max(I), so one
+    lex-ordered pass over the subsets of 0..N-1, N the largest n, serves
+    every shape and n.  V(I)^2 and the lift are formed once per point for
+    all shapes; the signed binomials of the first k - 1 entries once per n,
+    when a shape first needs them, for all points that share those entries.
+    A shape forms its product of roots only when some power of the lift is
+    nonzero, and visits only the points of its own largest n, so a batch is
+    predicted to cost at most its shapes' separate passes.
 
     The torus weights are t_i = 2i - (N - 1), centred on 0 so that many
     roots and lifts vanish and their points are skipped.  Any distinct
@@ -135,84 +139,107 @@ def localization_integrals(
     k(n-k) roots and lifts of a term.  A remainder or a negative value
     raises InternalCheckError.  Positive exactly when the top Chern class
     is nonzero (see the module docstring); 0 without work when D > k(n - k).
-    Raises SizeGuard before any work when localization_cost at some n
-    exceeds LOCALIZATION_COST_CAP.
+    Raises SizeGuard before any work when localization_cost at some
+    (shape, n) exceeds LOCALIZATION_COST_CAP.
     """
     if k < 1:
         raise InvalidRange(f"k must be positive, got {k}")
-    ns = sorted(set(ns))
-    for n in ns:
-        if n < k:
-            raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    shape = Partition(shape)
-    if len(shape) > k:
-        raise ZeroBundle(
-            f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
-        )
-    degree = schur_ones_hook_content(shape, k)
-    values = dict.fromkeys(ns, 0)
-    work = [n for n in ns if shape and degree <= k * (n - k)]
-    for n in work:
-        cost = localization_cost(k, n, degree)
-        if cost > LOCALIZATION_COST_CAP:
-            raise SizeGuard(
-                f"localization on Gr({k},{n}) predicts cost {cost}"
-                f" ({comb(n, k)} fixed points times {degree} + {k * (n - k)}),"
-                f" over the cap {LOCALIZATION_COST_CAP}"
+    values, batch = {}, []
+    for shape, ns in runs.items():
+        shape, ns = Partition(shape), sorted(set(ns))
+        if ns and ns[0] < k:
+            raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={ns[0]}")
+        if len(shape) > k:
+            raise ZeroBundle(
+                f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
             )
-    if not work:
-        return values
-    largest = work[-1]
+        degree = schur_ones_hook_content(shape, k)
+        values[shape] = dict.fromkeys(ns, 0)
+        work = [n for n in ns if shape and degree <= k * (n - k)]
+        for n in work:
+            cost = localization_cost(k, n, degree)
+            if cost > LOCALIZATION_COST_CAP:
+                raise SizeGuard(
+                    f"localization on Gr({k},{n}) predicts cost {cost}"
+                    f" ({comb(n, k)} fixed points times {degree} + {k * (n - k)}),"
+                    f" over the cap {LOCALIZATION_COST_CAP}"
+                )
+        if work:
+            batch.append((shape, degree, work))
+    largest = max((work[-1] for *_, work in batch), default=0)
     t = [2 * i - (largest - 1) for i in range(largest)]
-    weights, mults = zip(*Counter(weight_vectors(shape, k, max_tableaux)).items())
-    # steps[s][i]: what entry s = i adds to the dot product with each weight
-    steps = [[[c * ti for c in column] for ti in t] for column in zip(*weights)]
-    # per n: the signed binomials and the power of sigma_1; first[m] is the
-    # index of the first n > m
-    signed = [[(-1) ** i * comb(n - 1, i) for i in range(n)] for n in work]
-    exponents = [k * (n - k) - degree for n in work]
-    first = [bisect_right(work, m) for m in range(largest)]
-    totals = [0] * len(work)
-    # prefix[s] holds, for the first s entries of a fixed point: the partial
-    # dot products with every weight, the squared Vandermonde of the entries
-    # and the partial lift.  Fixed points come in lex order, so consecutive
-    # ones share all but a short suffix.
-    prefix = [([0] * len(mults), 1, 0)] + [None] * k
-    start = 0
+    needed = {n for *_, work in batch for n in work}
+    signed = {n: [(-1) ** i * comb(n - 1, i) for i in range(n)] for n in needed}
+    # per shape: prefix[s], the dot products of the first s entries with each
+    # distinct weight; steps[s][i], what entry s = i adds; first[m], the index
+    # of the first n > m; gaps[j], how the lift's power grows after work[j]
+    sums = []
+    for shape, degree, work in batch:
+        weights, mults = zip(*Counter(weight_vectors(shape, k, max_tableaux)).items())
+        steps = [[[c * x for c in col] for x in t[:work[-1]]] for col in zip(*weights)]
+        gaps = [k * (b - a) for a, b in zip(work, work[1:])] + [0]
+        prefix = [[0] * len(mults)] + [None] * (k - 1)
+        first = [bisect_right(work, m) for m in range(work[-1])]
+        sums.append((prefix, steps, steps[-1], mults, work[-1], first, work, degree,
+                     gaps, [0] * len(work)))
+    # shared[s]: V^2 and the lift of the first s entries; heads: the signed
+    # binomials of the first k - 1, per n.  A shape's prefix goes stale past
+    # its largest n and is rebuilt from an earlier entry at its next point.
+    last = k - 1
+    shared = [(1, 0)] + [None] * last
+    start, heads = 0, {}
     for point in combinations(range(largest), k):
-        for s in range(start, k):
-            i = point[s]
-            dots, vandermonde, lift = prefix[s]
-            prefix[s + 1] = (
-                list(map(add, dots, steps[s][i])),
-                vandermonde * prod(i - a for a in point[:s]) ** 2,
-                lift + t[i],
-            )
-        start = k - 1
+        top = point[-1]
+        if start < last:
+            heads = {}
+            for s in range(start, last):
+                i = point[s]
+                vandermonde, lift = shared[s]
+                shared[s + 1] = (
+                    vandermonde * prod(map(i.__sub__, point[:s])) ** 2, lift + t[i]
+                )
+                for prefix, steps, _, _, end, *_ in sums:
+                    if i < end:
+                        prefix[s + 1] = list(map(add, prefix[s], steps[s][i]))
+        vandermonde, lift = shared[last]
+        vandermonde *= prod(map(top.__sub__, point[:-1])) ** 2
+        lift += t[top]
+        for prefix, _, tail, mults, end, first, work, degree, gaps, totals in sums:
+            if top >= end:
+                continue
+            dots = list(map(add, prefix[last], tail[top]))
+            if 0 in dots:
+                continue
+            j = first[top]
+            power = lift ** (k * (work[j] - k) - degree)
+            if not power:
+                continue
+            product = prod(map(pow, dots, mults)) * vandermonde
+            for j in range(j, len(work)):
+                n = work[j]
+                head = heads.get(n)
+                if head is None:
+                    head = heads[n] = prod(map(signed[n].__getitem__, point[:-1]))
+                totals[j] += product * (power * (head * signed[n][top]))
+                power *= lift ** gaps[j]
+        start = last
         while start and point[start] == largest - k + start:
             start -= 1
-        dots, vandermonde, lift = prefix[k]
-        if 0 in dots:
-            continue
-        product = prod(map(pow, dots, mults)) * vandermonde
-        for j in range(first[point[-1]], len(work)):
-            power = lift ** exponents[j]
-            if power:
-                totals[j] += product * (power * prod(map(signed[j].__getitem__, point)))
-    for n, total in zip(work, totals):
-        top = k * (n - k)
-        if (k * (k - 1) // 2 + top) % 2:
-            total = -total
-        value, remainder = divmod(total, factorial(n - 1) ** k << top)
-        if remainder:
-            raise InternalNonIntegral(
-                f"localization sum for {shape.as_text()} on Gr({k},{n}) is not"
-                f" divisible by ((n-1)!)^k * 2^(k(n-k))"
-            )
-        if value < 0:
-            raise InternalCheckError(
-                f"localization integral for {shape.as_text()} on Gr({k},{n}) is"
-                f" negative ({value})"
-            )
-        values[n] = value
+    for (shape, _, work), (*_, totals) in zip(batch, sums):
+        for n, total in zip(work, totals):
+            top = k * (n - k)
+            if (k * (k - 1) // 2 + top) % 2:
+                total = -total
+            value, remainder = divmod(total, factorial(n - 1) ** k << top)
+            if remainder:
+                raise InternalNonIntegral(
+                    f"localization sum for {shape.as_text()} on Gr({k},{n}) is not"
+                    f" divisible by ((n-1)!)^k * 2^(k(n-k))"
+                )
+            if value < 0:
+                raise InternalCheckError(
+                    f"localization integral for {shape.as_text()} on Gr({k},{n}) is"
+                    f" negative ({value})"
+                )
+            values[shape][n] = value
     return values

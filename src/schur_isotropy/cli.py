@@ -73,10 +73,6 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return [line(headers), line(["-" * w for w in widths])] + [line(r) for r in rows]
 
 
-def _lambda_json(shape: Partition) -> list[int]:
-    return list(shape)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schur-isotropy",
@@ -150,23 +146,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dim(args):
-    result_value = dim_schur_module(args.lam, args.n)
-    inputs = {"lambda": _lambda_json(args.lam), "n": args.n}
-    result = {
-        "lambda": _lambda_json(args.lam),
-        "n": args.n,
-        "dim": str(result_value.value),
-    }
+    dim = str(dim_schur_module(args.lam, args.n).value)
+    inputs = {"lambda": list(args.lam), "n": args.n}
+    result = {**inputs, "dim": dim}
     human = _format_table(
-        ["lambda", "n", "dim"],
-        [[args.lam.as_text() or "-", str(args.n), str(result_value.value)]],
+        ["lambda", "n", "dim"], [[args.lam.as_text() or "-", str(args.n), dim]]
     )
     return inputs, result, human, EXIT_OK
 
 
 def _cmd_decide(args):
     verdict = decide(args.lam, args.k, args.n)
-    inputs = {"lambda": _lambda_json(args.lam), "k": args.k, "n": args.n}
+    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n}
     result = {"isotropic": verdict.isotropic, "rule": verdict.rule}
     if verdict.threshold_n is not None:
         result["threshold_n"] = verdict.threshold_n
@@ -183,7 +174,7 @@ def _cmd_decide(args):
 
 
 def _cmd_min_n(args):
-    inputs = {"lambda": _lambda_json(args.lam), "k": args.k}
+    inputs = {"lambda": list(args.lam), "k": args.k}
     smallest = min_isotropic_n(args.lam, args.k)
     rule = decide(args.lam, args.k, smallest).rule
     try:
@@ -192,7 +183,7 @@ def _cmd_min_n(args):
     except ZeroModule:
         formula = None
         dim = "0"
-    result = {"lambda": _lambda_json(args.lam), "k": args.k, "dim": dim}
+    result = {"lambda": list(args.lam), "k": args.k, "dim": dim}
     if formula is not None:
         result["threshold_n"] = formula
     result["min_isotropic_n"] = smallest
@@ -212,7 +203,7 @@ def _cmd_oracle(args):
         args.lam, args.k, args.n,
         max_tableaux=args.max_tableaux, max_terms=args.max_terms,
     )
-    inputs = {"lambda": _lambda_json(args.lam), "k": args.k, "n": args.n,
+    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n,
               "max_tableaux": args.max_tableaux, "max_terms": args.max_terms}
     result = {
         "nonzero": verdict.nonzero,
@@ -233,7 +224,7 @@ def _cmd_oracle(args):
 
 def _cmd_check_lemma36(args):
     report = tevelev_inequalities(args.lam, args.k, args.n)
-    inputs = {"lambda": _lambda_json(args.lam), "k": args.k, "n": args.n}
+    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n}
     result = {
         "rows": [
             {"i": row.index, "lhs": str(row.lhs), "rhs": str(row.rhs),
@@ -252,11 +243,9 @@ def _cmd_check_lemma36(args):
 
 def _cmd_proof_chain(args):
     steps = verify_proof_chain(args.lam, args.k, args.n)
-    inputs = {"lambda": _lambda_json(args.lam), "k": args.k, "n": args.n}
+    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n}
     result = {
-        "steps": [
-            {"name": s.name, "detail": s.detail, "holds": s.holds} for s in steps
-        ],
+        "steps": [step._asdict() for step in steps],
         "all_verified": all(s.holds for s in steps),
     }
     human = _format_table(
@@ -281,7 +270,7 @@ def _cmd_sweep(args):
         "disagreements": disagreements,
         "cases": [
             {
-                "lambda": _lambda_json(c.shape), "k": c.k, "n": c.n,
+                "lambda": list(c.shape), "k": c.k, "n": c.n,
                 "isotropic": c.isotropic, "rule": c.rule,
                 "oracle_nonzero": c.oracle_nonzero, "agree": c.agree,
             }
@@ -307,61 +296,39 @@ def _cmd_sweep(args):
 def _self_check_suites():
     shapes = list(partitions_up_to(6))
     nonempty = [s for s in shapes if s]
-
-    triple = []
-    for shape in shapes:
-        for n in range(0, 7):
-            hook = schur_ones_hook_content(shape, n)
-            recurrence = schur_ones_recurrence(shape, n)
-            count = count_ssyt(shape, n)
-            triple.append(hook == recurrence == count)
-
-    nondecreasing = []
-    for shape in nonempty:
-        for k in range(2, 8):
-            nondecreasing.append(dimension_ratio_gain(shape, k) >= 0)
-
-    unit_fraction = []
-    for shape in nonempty:
-        for k in range(2, 8):
-            if 2 <= len(shape) <= k - 1:
-                unit_fraction.append(
-                    dimension_ratio_gain(shape, k) >= Fraction(1, k)
-                )
-
-    gain_one = []
-    for shape in nonempty:
-        if shape in ((1,), (2,), (1, 1)):
-            continue
-        for k in range(3, 8):
-            if 1 <= len(shape) <= k - 2:
-                gain_one.append(dimension_ratio_gain(shape, k) >= 1)
-
-    binomial = []
-    for d in range(3, 9):
-        for alpha in range(2, 9):
-            binomial.append(symmetric_power_ratio_gain(d, alpha) >= 1)
-
+    gain = dimension_ratio_gain
     return [
-        ("dimension-triple-agreement", triple),
-        ("ratio-nondecreasing", nondecreasing),
-        ("ratio-gain-unit-fraction", unit_fraction),
-        ("ratio-gain-one", gain_one),
-        ("binomial-ratio-gain-one", binomial),
+        ("dimension-triple-agreement", [
+            schur_ones_hook_content(s, n) == schur_ones_recurrence(s, n)
+            == count_ssyt(s, n)
+            for s in shapes for n in range(7)
+        ]),
+        ("ratio-nondecreasing", [
+            gain(s, k) >= 0 for s in nonempty for k in range(2, 8)
+        ]),
+        ("ratio-gain-unit-fraction", [
+            gain(s, k) >= Fraction(1, k)
+            for s in nonempty for k in range(2, 8) if 2 <= len(s) <= k - 1
+        ]),
+        ("ratio-gain-one", [
+            gain(s, k) >= 1
+            for s in nonempty if s not in ((1,), (2,), (1, 1))
+            for k in range(3, 8) if len(s) <= k - 2
+        ]),
+        ("binomial-ratio-gain-one", [
+            symmetric_power_ratio_gain(d, alpha) >= 1
+            for d in range(3, 9) for alpha in range(2, 9)
+        ]),
     ]
 
 
 def _cmd_self_check(args):
-    suites = []
-    all_ok = True
-    for name, outcomes in _self_check_suites():
-        violations = sum(1 for ok in outcomes if not ok)
-        ok = violations == 0
-        all_ok = all_ok and ok
-        suites.append(
-            {"name": name, "cases": len(outcomes), "violations": violations,
-             "ok": ok}
-        )
+    suites = [
+        {"name": name, "cases": len(outcomes), "violations": outcomes.count(False),
+         "ok": all(outcomes)}
+        for name, outcomes in _self_check_suites()
+    ]
+    all_ok = all(suite["ok"] for suite in suites)
     inputs = {}
     result = {"suites": suites, "ok": all_ok}
     human = [

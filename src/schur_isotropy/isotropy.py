@@ -433,43 +433,40 @@ def run_sweep(
     The oracle verdict is whether chern.localization_integrals is positive,
     which holds exactly when the top Chern class is nonzero; it agrees with
     top_chern_nonzero without building its truncated Schur expansion.  One
-    call per (shape, k) answers every n whose predicted cost is under the
-    cap; past it (large n) the verdict comes from top_chern_nonzero instead.
-    Order is deterministic: shapes by size then lex-decreasing, then k, then n.
+    call per k answers every shape and every n whose predicted cost is under
+    the cap, which is checked per (shape, n); past it (large n) the verdict
+    comes from top_chern_nonzero instead.  Order is deterministic: shapes by
+    size then lex-decreasing, then k, then n.
     """
-    cases = []
-    for shape in partitions_up_to(max_size):
-        if not shape:
-            continue
-        for k in range(len(shape), max_k + 1):
-            ns = range(k + 1, max_n + 1)
-            integrals = None
+    shapes = [shape for shape in partitions_up_to(max_size) if shape]
+    oracle_k = min(max_k, k_cap) if with_oracle else 0
+    runs = {k: {} for k in range(1, oracle_k + 1)}
+    for shape in shapes:
+        for k in range(len(shape), oracle_k + 1):
             degree = schur_ones_hook_content(shape, k)
-            if with_oracle and k <= k_cap and degree <= dim_cap:
-                cheap = [
-                    n for n in ns
+            if degree <= dim_cap:
+                runs[k][shape] = [
+                    n for n in range(k + 1, max_n + 1)
                     if chern.localization_cost(k, n, degree)
                     <= chern.LOCALIZATION_COST_CAP
                 ]
-                integrals = chern.localization_integrals(
-                    shape, k, cheap, max_tableaux
-                )
-            for n in ns:
+    integrals = {
+        k: chern.localization_integrals(run, k, max_tableaux)
+        for k, run in runs.items() if run
+    }
+    cases = []
+    for shape in shapes:
+        for k in range(len(shape), max_k + 1):
+            values = integrals.get(k, {}).get(shape)
+            for n in range(k + 1, max_n + 1):
                 verdict = decide(shape, k, n)
-                oracle = None
-                if integrals is not None:
-                    if n in integrals:
-                        oracle = integrals[n] > 0
-                    else:
-                        # the sum grows with C(n, k); the expansion does not
-                        oracle = chern.top_chern_nonzero(
-                            shape, k, n, max_tableaux
-                        ).nonzero
-                cases.append(
-                    AgreementCase(
-                        shape, k, n,
-                        verdict.isotropic, verdict.rule, verdict.threshold_n,
-                        oracle,
-                    )
-                )
+                if values is None:
+                    oracle = None
+                elif n in values:
+                    oracle = values[n] > 0
+                else:
+                    # past the cost cap: the sum grows with C(n, k), the expansion not
+                    oracle = chern.top_chern_nonzero(shape, k, n, max_tableaux).nonzero
+                # a Verdict starts with isotropic, rule, threshold_n
+                cases.append(AgreementCase(shape, k, n, *verdict[:3], oracle))
     return cases

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 from operator import gt
+from typing import Iterator
 
 from .errors import SizeGuard
 from .partitions import Partition
@@ -79,28 +80,36 @@ def weight_vectors(
             f" up to {max_entry} exceeds the cap {max_tableaux}"
         )
     heights = shape.conjugate()
-    counts = [0] * max_entry
-    found: list[tuple[int, ...]] = []
 
-    # one call per row, so the depth is the number of rows: each row is a
-    # nondecreasing sequence, in lex order, kept if it lies strictly below
-    # the row above it.  The alphabet stops where the row's last column
-    # still has room for the cells below it, so no row is tried that no
-    # filling completes there (a tall column would otherwise cost
-    # exponential time for its single filling).
-    def fill(r: int, above: tuple[int, ...]) -> None:
-        if r == len(shape):
+    # stack[r]: the row above row r and the nondecreasing rows, in lex order,
+    # tried beneath it; rows[r]: the one placed, taken back on return to r.
+    # A row's alphabet stops where its last column has room for the cells
+    # below, so no row is tried that no filling completes (a tall column
+    # would otherwise cost exponential time for its single filling).
+    def below(r: int, above: tuple[int, ...]) -> tuple[tuple[int, ...], Iterator]:
+        end = max_entry + r + 2 - heights[shape[r] - 1]
+        return above, combinations_with_replacement(range(above[0] + 1, end), shape[r])
+
+    rows, counts, found = [], [0] * max_entry, []
+    stack = [below(0, (0,) * shape[0])]
+    while stack:
+        if len(rows) == len(stack):
+            for value in rows.pop():
+                counts[value - 1] -= 1
+        last = len(stack) == len(shape)
+        above, tries = stack[-1]
+        for row in tries:
+            if not all(map(gt, row, above)):
+                continue
+            for value in row:
+                counts[value - 1] += 1
+            if not last:
+                rows.append(row)
+                stack.append(below(len(rows), row))
+                break
             found.append(tuple(counts))
-            return
-        below = heights[shape[r] - 1] - 1 - r
-        alphabet = range(above[0] + 1, max_entry - below + 1)
-        for row in combinations_with_replacement(alphabet, shape[r]):
-            if all(map(gt, row, above)):
-                for value in row:
-                    counts[value - 1] += 1
-                fill(r + 1, row)
-                for value in row:
-                    counts[value - 1] -= 1
-
-    fill(0, (0,) * shape[0])
+            for value in row:
+                counts[value - 1] -= 1
+        else:
+            stack.pop()
     return found

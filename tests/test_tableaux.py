@@ -123,3 +123,13 @@ def test_a_tall_column_walks_only_its_filling():
     # a hook: its column is forced to 1..30 and its arm box takes any entry
     hook = weight_vectors(Partition((2,) + (1,) * 29), 30)
     assert len(hook) == count_ssyt(Partition((2,) + (1,) * 29), 30)
+    # more rows than the interpreter's recursion limit: the walk keeps an
+    # explicit stack, so height costs no call depth
+    assert weight_vectors(Partition((1,) * 1200), 1200) == [(1,) * 1200]
+    assert weight_vectors(Partition((2,) * 1200), 1200) == [(2,) * 1200]
+    # a tall 2-column hook: the arm box takes each entry once, in order
+    # (each of its h fillings walks all h rows, so h stays small here)
+    tall = weight_vectors(Partition((2,) + (1,) * 199), 200)
+    assert tall == [
+        tuple(1 + (i == arm) for i in range(200)) for arm in range(200)
+    ]
