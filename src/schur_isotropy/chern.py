@@ -23,11 +23,13 @@ wherever the predicted cost of a (shape, n) is under LOCALIZATION_COST_CAP.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial, prod
-from operator import add
+from operator import itemgetter
+from sys import byteorder
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -109,6 +111,19 @@ def localization_cost(k: int, n: int, degree: int) -> int:
     return comb(n, k) * (degree + k * (n - k))
 
 
+def _pack(values: Iterable[int], offset: int, typecode: str) -> int:
+    """sum(v * 2^(w * lane)): the values as the w-bit lanes of one integer.
+
+    ``typecode`` is the signed array type of a lane and ``offset`` holds
+    2^(w-1) in every lane.  Packing is linear: sums and integer multiples of
+    packed integers pack the lane by lane sums and multiples, as long as
+    every lane stays within [-2^(w-1), 2^(w-1)).
+    """
+    half = 1 << 8 * array(typecode).itemsize - 1
+    unsigned = array(typecode.upper(), [v + half for v in values])
+    return int.from_bytes(unsigned.tobytes(), byteorder) - offset
+
+
 def localization_integrals(
     runs: Mapping[Partition, Iterable[int]],
     k: int,
@@ -122,12 +137,17 @@ def localization_integrals(
     of sigma_1 is the sum of t_I and the tangent weights are t_j - t_i (i in
     I, j not in I).  I is a fixed point for every n > max(I), so one
     lex-ordered pass over the subsets of 0..N-1, N the largest n, serves
-    every shape and n.  V(I)^2 and the lift are formed once per point for
-    all shapes; the signed binomials of the first k - 1 entries once per n,
-    when a shape first needs them, for all points that share those entries.
-    A shape forms its product of roots only when some power of the lift is
-    nonzero, and visits only the points of its own largest n, so a batch is
-    predicted to cost at most its shapes' separate passes.
+    every shape and n.  V(I)^2, the lift and its k-th power are formed once
+    per point for all shapes, and V(I)^2 times the signed binomials of I once
+    per point and n, when a shape first needs them; the signed binomials of
+    the first k - 1 entries once per n, for all points that share them.  The
+    roots of all shapes are the lanes of one packed integer, which moves by
+    one multiply-add per changed entry and is unpacked once per point.  A
+    shape forms its product of roots (those of each multiplicity multiplied
+    first, then raised to it once) only when none is zero and some power of
+    the lift is nonzero, and visits only the points of its own largest n, so
+    a batch is predicted to cost at most its shapes' separate passes, plus
+    the lane arithmetic: a machine word per distinct weight and point.
 
     The torus weights are t_i = 2i - (N - 1), centred on 0 so that many
     roots and lifts vanish and their points are skipped.  Any distinct
@@ -170,23 +190,38 @@ def localization_integrals(
     t = [2 * i - (largest - 1) for i in range(largest)]
     needed = {n for *_, work in batch for n in work}
     signed = {n: [(-1) ** i * comb(n - 1, i) for i in range(n)] for n in needed}
-    # per shape: prefix[s], the dot products of the first s entries with each
-    # distinct weight; steps[s][i], what entry s = i adds; first[m], the index
-    # of the first n > m; gaps[j], how the lift's power grows after work[j]
-    sums = []
+    # columns[s]: coordinate s of every shape's distinct weights, one lane
+    # each, packed below so that one multiply-add by t_i moves the dot
+    # products of all shapes at once.  Per shape: its lanes a..b-1; groups,
+    # the runs (x, y, m) of its lanes that share the multiplicity m; first[m],
+    # the index of the first n > m; gaps[j], the power of lift^k that takes
+    # the lift's power at work[j] to the next n
+    sums, columns = [], [[] for _ in range(k)]
     for shape, degree, work in batch:
-        weights, mults = zip(*Counter(weight_vectors(shape, k, max_tableaux)).items())
-        steps = [[[c * x for c in col] for x in t[:work[-1]]] for col in zip(*weights)]
-        gaps = [k * (b - a) for a, b in zip(work, work[1:])] + [0]
-        prefix = [[0] * len(mults)] + [None] * (k - 1)
+        counted = Counter(weight_vectors(shape, k, max_tableaux)).items()
+        weights, mults = zip(*sorted(counted, key=itemgetter(1)))
+        a = len(columns[0])
+        for column, coordinates in zip(columns, zip(*weights)):
+            column.extend(coordinates)
+        ends = [y for y in range(1, len(mults)) if mults[y] != mults[y - 1]]
+        groups = [(x, y, mults[x]) for x, y in zip([0] + ends, ends + [len(mults)])]
+        gaps = [y - x for x, y in zip(work, work[1:])] + [0]
         first = [bisect_right(work, m) for m in range(work[-1])]
-        sums.append((prefix, steps, steps[-1], mults, work[-1], first, work, degree,
-                     gaps, [0] * len(work)))
-    # shared[s]: V^2 and the lift of the first s entries; heads: the signed
-    # binomials of the first k - 1, per n.  A shape's prefix goes stale past
-    # its largest n and is rebuilt from an earlier entry at its next point.
+        sums.append((a, a + len(mults), groups, work[-1], first, work, degree, gaps,
+                     [0] * len(work)))
+    # a root w.t_I, and each partial sum of it, is less than size * N in size
+    bound = max((shape.size for shape, *_ in batch), default=0) * largest
+    typecode = next(c for c in "hiq" if bound < 1 << 8 * array(c).itemsize - 1)
+    width, lanes = 8 * array(typecode).itemsize, len(columns[0])
+    offset = ((1 << width * lanes) - 1) // ((1 << width) - 1) << width - 1
+    packed = [_pack(column, offset, typecode) for column in columns]
+    size = lanes * width // 8  # bytes
+    # shared[s]: V^2, the lift and the packed dot products of the first s
+    # entries; heads: the signed binomials of the first k - 1, per n; tails[i]:
+    # what a last entry i adds, with the offset that unpacking needs
     last = k - 1
-    shared = [(1, 0)] + [None] * last
+    shared = [(1, 0, 0)] + [None] * last
+    tails = [packed[last] * x + offset for x in t]
     start, heads = 0, {}
     for point in combinations(range(largest), k):
         top = point[-1]
@@ -194,34 +229,45 @@ def localization_integrals(
             heads = {}
             for s in range(start, last):
                 i = point[s]
-                vandermonde, lift = shared[s]
+                vandermonde, lift, partial = shared[s]
                 shared[s + 1] = (
-                    vandermonde * prod(map(i.__sub__, point[:s])) ** 2, lift + t[i]
+                    vandermonde * prod(map(i.__sub__, point[:s])) ** 2,
+                    lift + t[i],
+                    partial + packed[s] * t[i],
                 )
-                for prefix, steps, _, _, end, *_ in sums:
-                    if i < end:
-                        prefix[s + 1] = list(map(add, prefix[s], steps[s][i]))
-        vandermonde, lift = shared[last]
+        vandermonde, lift, partial = shared[last]
         vandermonde *= prod(map(top.__sub__, point[:-1])) ** 2
         lift += t[top]
-        for prefix, _, tail, mults, end, first, work, degree, gaps, totals in sums:
+        # unpacked: adding the offset makes every lane nonnegative, so none
+        # borrows from the next, and flipping each lane's top bit then leaves
+        # its two's complement
+        partial = (partial + tails[top]) ^ offset
+        dots = array(typecode, partial.to_bytes(size, byteorder))
+        # per n, V^2 times the signed binomials of the whole point
+        lift_k, factors = lift ** k, {}
+        for a, b, groups, end, first, work, degree, gaps, totals in sums:
             if top >= end:
                 continue
-            dots = list(map(add, prefix[last], tail[top]))
-            if 0 in dots:
+            roots = dots[a:b]
+            if 0 in roots:
                 continue
             j = first[top]
             power = lift ** (k * (work[j] - k) - degree)
             if not power:
                 continue
-            product = prod(map(pow, dots, mults)) * vandermonde
+            # the product of roots times the lift's power at each n in turn
+            for x, y, m in groups:
+                power *= prod(roots[x:y]) ** m
             for j in range(j, len(work)):
                 n = work[j]
-                head = heads.get(n)
-                if head is None:
-                    head = heads[n] = prod(map(signed[n].__getitem__, point[:-1]))
-                totals[j] += product * (power * (head * signed[n][top]))
-                power *= lift ** gaps[j]
+                factor = factors.get(n)
+                if factor is None:
+                    head = heads.get(n)
+                    if head is None:
+                        head = heads[n] = prod(map(signed[n].__getitem__, point[:-1]))
+                    factor = factors[n] = head * signed[n][top] * vandermonde
+                totals[j] += power * factor
+                power *= lift_k ** gaps[j]
         start = last
         while start and point[start] == largest - k + start:
             start -= 1

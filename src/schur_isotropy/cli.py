@@ -8,10 +8,8 @@ serialized as decimal strings and timing_ms stays 0 unless --timing is given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from fractions import Fraction
 
 from .chern import top_chern_nonzero
 from .errors import DomainError, ZeroModule
@@ -294,6 +292,8 @@ def _cmd_sweep(args):
 
 
 def _self_check_suites():
+    from fractions import Fraction
+
     shapes = list(partitions_up_to(6))
     nonempty = [s for s in shapes if s]
     gain = dimension_ratio_gain
@@ -366,6 +366,8 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN_ERROR
     elapsed = int((time.perf_counter() - start) * 1000) if args.timing else 0
     if args.json:
+        import json
+
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

@@ -22,7 +22,6 @@ larger.  It is k-isotropic iff n >= 2k-1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -212,8 +211,8 @@ def decide(shape: Partition, k: int, n: int) -> Verdict:
         )
 
     if k >= 3:
-        t = threshold_n(shape, k)
         dim = schur_ones_hook_content(shape, k)
+        t = k + _ceil_div(dim, k)  # threshold_n, without a second hook-content
         return Verdict(
             n >= t, RULE_MAIN, t,
             f"isotropic iff n >= dim/k + k = {dim}/{k} + {k}; minimal n = {t}",
@@ -264,6 +263,8 @@ def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...
     is evaluated in exact arithmetic; the first failure raises
     ChainStepFailed naming the step.
     """
+    from fractions import Fraction
+
     shape = Partition(shape)
     if not (k >= 3 and 2 <= len(shape) <= k and shape[0] >= 2):
         raise OutOfTheoremScope(

@@ -17,13 +17,17 @@ class Partition(tuple):
     """Weakly decreasing tuple of positive integers.
 
     Trailing zeros are stripped on construction, so every shape has a single
-    canonical value and the empty partition is ``Partition()``.  Instances
-    compare and hash as plain tuples, which also gives lexicographic order.
+    canonical value and the empty partition is ``Partition()``.  Constructing
+    from a ``Partition`` returns it unchanged, without validating it again;
+    any other iterable is validated.  Instances compare and hash as plain
+    tuples, which also gives lexicographic order.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is cls:
+            return parts
         parts = tuple(parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
@@ -52,9 +56,12 @@ class Partition(tuple):
 
     def conjugate(self) -> "Partition":
         """Shape reflected along the main diagonal."""
-        if not self:
-            return self
-        return Partition(sum(1 for p in self if p > col) for col in range(self[0]))
+        # from the bottom row up, each row adds the columns beyond the rows
+        # below it; the heights come out valid, so they skip the validation
+        heights = []
+        for rows in range(len(self), 0, -1):
+            heights += [rows] * (self[rows - 1] - len(heights))
+        return tuple.__new__(Partition, heights)
 
     def is_rectangle(self) -> bool:
         """True when all parts are equal (vacuously true for the empty shape)."""

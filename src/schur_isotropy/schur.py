@@ -8,12 +8,16 @@ golden values by the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalMismatch, InternalNonIntegral
 from .partitions import Partition, horizontal_strip_predecessors
+
+# fractions, with the decimal and numbers modules it loads, is imported only
+# by the functions that build a Fraction, so importing the package skips it.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Below this size the production value is re-derived by the recurrence on
 # every call and the two must agree.
@@ -95,6 +99,8 @@ def dim_schur_module(shape: Partition, n: int) -> DimensionValue:
 
 def hook_shape_dimension(d: int, n: int) -> int:
     """Closed form for the shape (d, 1): d(n-1)/(d+1) * C(n+d-1, d)."""
+    from fractions import Fraction
+
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
     value = Fraction(d * (n - 1), d + 1) * comb(n + d - 1, d)
@@ -105,6 +111,8 @@ def hook_shape_dimension(d: int, n: int) -> int:
 
 def two_row_rectangle_dimension(d: int, n: int) -> int:
     """Closed form for the shape (d, d): (n+d-1)/((n-1)(d+1)) * C(n+d-2, d)^2."""
+    from fractions import Fraction
+
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
     if n < 2:
@@ -125,6 +133,8 @@ def dimension_ratio_gain(shape: Partition, k: int) -> Fraction:
     between 2 and k-1 rows, and at least 1 when the shape has at most k-2
     rows and is none of (1), (2), (1,1).
     """
+    from fractions import Fraction
+
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     return Fraction(schur_ones_hook_content(shape, k), k) - Fraction(
@@ -134,6 +144,8 @@ def dimension_ratio_gain(shape: Partition, k: int) -> Fraction:
 
 def symmetric_power_ratio_gain(d: int, alpha: int) -> Fraction:
     """C(d+a-1, d)/a - C(d+a-2, d)/(a-1), the single-row ratio gain, for a >= 2."""
+    from fractions import Fraction
+
     if alpha < 2:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
     return Fraction(comb(d + alpha - 1, d), alpha) - Fraction(

@@ -2,17 +2,21 @@
 
 ``count_ssyt`` counts fillings column by column without listing them;
 ``weight_vectors`` walks every filling row by row and records only its
-weight, the multiset the top-Chern-class oracle needs.
+weight, the multiset the top-Chern-class oracle needs.  The walk's size cap
+is checked against the hook-content product, which equals the number of
+fillings; ``count_ssyt`` stays an independent count to check it against.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
-from operator import gt
+from itertools import accumulate, combinations, combinations_with_replacement, islice
+from math import comb
+from operator import add, gt
 from typing import Iterator
 
 from .errors import SizeGuard
 from .partitions import Partition
+from .schur import schur_ones_hook_content
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
@@ -53,6 +57,11 @@ def count_ssyt(shape: Partition, max_entry: int) -> int:
     return sum(ways.values())
 
 
+def _rows_between(start: int, end: int, width: int) -> int:
+    """Number of nondecreasing rows of ``width`` entries from range(start, end)."""
+    return comb(max(end - start, 0) + width - 1, width)
+
+
 def weight_vectors(
     shape: Partition,
     max_entry: int,
@@ -62,9 +71,10 @@ def weight_vectors(
 
     Slot i of a weight counts the entries equal to i+1.  Fillings are
     walked in lexicographic order of their row-major reading word, and the
-    weights come out in that order.  Raises SizeGuard when the predicted
-    count exceeds ``max_tableaux``; a shape with more rows than
-    ``max_entry`` yields the empty list.
+    weights come out in that order.  Raises SizeGuard before any walk when
+    the count of fillings, predicted by the hook-content product, exceeds
+    ``max_tableaux``; a shape with more rows than ``max_entry`` yields the
+    empty list.
     """
     if max_entry < 0:
         raise ValueError(f"max_entry must be nonnegative, got {max_entry}")
@@ -73,7 +83,7 @@ def weight_vectors(
         return [(0,) * max_entry]
     if len(shape) > max_entry:
         return []
-    predicted = count_ssyt(shape, max_entry)
+    predicted = schur_ones_hook_content(shape, max_entry)
     if predicted > max_tableaux:
         raise SizeGuard(
             f"{predicted} tableaux of shape {shape.as_text()} with entries"
@@ -81,15 +91,37 @@ def weight_vectors(
         )
     heights = shape.conjugate()
 
+    # Beneath a row whose every column has exactly as many free entries left
+    # as cells, the rest of the filling is forced: column c takes
+    # above[c]+1..max_entry.  forced() gives what those entries add to the
+    # weight (slot v gains the columns with above[c] <= v), or None.
+    def forced(r: int, above: tuple[int, ...]) -> Iterator[int] | None:
+        width = shape[r]
+        if any(max_entry - above[c] != heights[c] - r for c in range(width)):
+            return None
+        starts = [0] * (max_entry + 1)
+        for c in range(width):
+            starts[above[c]] += 1
+        return accumulate(starts)
+
     # stack[r]: the row above row r and the nondecreasing rows, in lex order,
     # tried beneath it; rows[r]: the one placed, taken back on return to r.
-    # A row's alphabet stops where its last column has room for the cells
-    # below, so no row is tried that no filling completes (a tall column
-    # would otherwise cost exponential time for its single filling).
+    # A row's entries stop where its last column has room for the cells
+    # below, and its first entry where the first column has; without these
+    # bounds a tall column would cost exponential time for its single
+    # filling, and a tall hook's first row h^2/2 dead tries.  The rows with
+    # a first entry below first_end are a prefix of the lex order.
     def below(r: int, above: tuple[int, ...]) -> tuple[tuple[int, ...], Iterator]:
-        end = max_entry + r + 2 - heights[shape[r] - 1]
-        return above, combinations_with_replacement(range(above[0] + 1, end), shape[r])
+        width, start = shape[r], above[0] + 1
+        end = max_entry + r + 2 - heights[width - 1]
+        first_end = max(start, max_entry + r + 2 - heights[0])
+        tries = _rows_between(start, end, width) - _rows_between(first_end, end, width)
+        candidates = combinations_with_replacement(range(start, end), width)
+        return above, islice(candidates, tries)
 
+    rest = forced(0, (0,) * shape[0])
+    if rest is not None:
+        return [tuple(islice(rest, max_entry))]
     rows, counts, found = [], [0] * max_entry, []
     stack = [below(0, (0,) * shape[0])]
     while stack:
@@ -103,11 +135,15 @@ def weight_vectors(
                 continue
             for value in row:
                 counts[value - 1] += 1
-            if not last:
-                rows.append(row)
-                stack.append(below(len(rows), row))
-                break
-            found.append(tuple(counts))
+            if last:
+                found.append(tuple(counts))
+            else:
+                rest = forced(len(stack), row)
+                if rest is None:
+                    rows.append(row)
+                    stack.append(below(len(rows), row))
+                    break
+                found.append(tuple(map(add, counts, rest)))
             for value in row:
                 counts[value - 1] -= 1
         else:

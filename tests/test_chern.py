@@ -263,6 +263,27 @@ def test_a_value_does_not_depend_on_its_batch():
     assert checked == 737
 
 
+def test_wide_roots_take_wider_lanes():
+    # the roots of a batch share one packed integer, in lanes as wide as its
+    # largest root needs.  O(1200) on P^(n-1) has c_1 = 1200 h, so its
+    # integral is 1200 at every n; its roots need more than 16 bits at n = 30
+    row = Partition((1200,))
+    assert localization_integrals({row: range(2, 31)}, 1) == {
+        row: dict.fromkeys(range(2, 31), 1200)
+    }
+    # shapes batched with a wide one keep their values in the wider lanes
+    small = {
+        lam: range(3, 9)
+        for lam in (Partition((2, 1)), Partition((2,)), Partition((1, 1)),
+                    Partition((3, 1)))
+    }
+    together = localization_integrals({**small, Partition((300, 100)): [103]}, 2)
+    for lam, ns in small.items():
+        assert together[lam] == localization_integrals({lam: ns}, 2)[lam], lam
+    # a full-height shape: ample, so nonzero exactly when D <= k(n - k)
+    assert together[Partition((300, 100))][103] > 0
+
+
 def test_the_oracle_fallback_agrees_with_the_sweep_column():
     # at k = 2 with a two-row shape decide takes its verdict from the
     # expansion and the sweep column comes from the localization sum;

@@ -232,17 +232,34 @@ def test_enumeration_cap_flag(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_the_cli_import_leaves_dataclasses_out():
-    # dataclasses (and the inspect module it pulls in) cost about 10 ms at
-    # every CLI start
+def _modules_after(statement, modules):
+    """Which of ``modules`` a fresh interpreter holds after ``statement``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = (
-        "import sys, schur_isotropy.cli;"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    probe = f"import sys; {statement}; print(sorted({set(modules)!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_the_cli_import_leaves_dataclasses_out():
+    # dataclasses (and the inspect module it pulls in) cost about 10 ms at
+    # every CLI start
+    assert _modules_after("import schur_isotropy.cli", ["dataclasses", "inspect"]) == "[]"
+
+
+def test_the_cli_import_leaves_fractions_and_json_out():
+    # fractions (with decimal and numbers) and json load only where a
+    # Fraction is built or a JSON envelope printed
+    slow = ["fractions", "decimal", "numbers", "json"]
+    assert _modules_after("import schur_isotropy.cli", slow) == "[]"
+    assert _modules_after(
+        "from schur_isotropy.cli import run; run(['decide', '--lambda', '2,1',"
+        " '--k', '3', '--n', '6'])", slow,
+    ).endswith("[]")
+    assert _modules_after(
+        "from schur_isotropy.cli import run; run(['dim', '--lambda', '2,1',"
+        " '--n', '3', '--json'])", ["json"],
+    ).endswith("['json']")

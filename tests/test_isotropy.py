@@ -316,3 +316,23 @@ def test_verdict_threshold_consistency():
                     assert verdict.isotropic == (n >= verdict.threshold_n)
                 if verdict.rule == RULE_TRIVIAL:
                     assert len(lam) > k
+
+
+def test_main_rule_reads_one_hook_content():
+    # the main rule's threshold, verdict and detail, restated from threshold_n
+    # and hook-content on every shape it applies to up to size 6, k <= 6
+    applied = 0
+    for lam in partitions_up_to(6):
+        if len(lam) < 2 or lam[0] < 2:
+            continue
+        for k in range(max(3, len(lam)), 7):
+            t = threshold_n(lam, k)
+            dim = schur_ones_hook_content(lam, k)
+            for n in range(k, t + 3):
+                verdict = decide(lam, k, n)
+                assert verdict == (
+                    n >= t, RULE_MAIN, t,
+                    f"isotropic iff n >= dim/k + k = {dim}/{k} + {k}; minimal n = {t}",
+                ), (lam, k, n)
+                applied += 1
+    assert applied > 1000

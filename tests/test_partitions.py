@@ -61,6 +61,26 @@ def test_constructor_validates():
         Partition((2, -1))
 
 
+def test_a_partition_passes_through_unchanged():
+    lam = Partition((3, 1))
+    assert Partition(lam) is lam
+    empty = Partition()
+    assert Partition(empty) is empty
+    # every other input is still normalized or validated
+    assert type(Partition([3, 1])) is Partition
+    assert Partition([3, 1]) == lam
+    assert Partition((3, 1, 0)) == lam
+    assert Partition(p for p in (3, 1)) == lam
+    with pytest.raises(NotWeaklyDecreasing):
+        Partition([1, 3])
+    with pytest.raises(NonPositivePart):
+        Partition((3, -1))
+    with pytest.raises(MalformedInput):
+        Partition((3, 1.0))
+    with pytest.raises(MalformedInput):
+        Partition(("3", "1"))
+
+
 def test_partition_accessors():
     lam = Partition((3, 1))
     assert len(lam) == 2
@@ -81,6 +101,9 @@ def test_conjugate_known_values():
 
 @given(partitions(max_size=10))
 def test_conjugate_is_an_involution(lam):
+    # the conjugate is built without a second validation, so check it here
+    assert lam.conjugate() == Partition(tuple(lam.conjugate()))
+    assert type(lam.conjugate()) is Partition
     assert lam.conjugate().conjugate() == lam
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schur_isotropy.errors import SizeGuard
-from schur_isotropy.partitions import Partition
+from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.tableaux import count_ssyt, weight_vectors
 
 from conftest import partitions
@@ -116,6 +116,49 @@ def test_size_guard():
     assert count_ssyt(Partition((2, 1)), 3) == 8
 
 
+def test_the_size_guard_trips_just_below_the_count():
+    # the cap is checked against hook-content, which must equal the count
+    for lam in filter(None, partitions_up_to(5)):
+        for k in range(len(lam), 6):
+            count = count_ssyt(lam, k)
+            assert len(weight_vectors(lam, k, max_tableaux=count)) == count
+            with pytest.raises(SizeGuard) as excinfo:
+                weight_vectors(lam, k, max_tableaux=count - 1)
+            assert str(excinfo.value) == (
+                f"{count} tableaux of shape {lam.as_text()} with entries"
+                f" up to {k} exceeds the cap {count - 1}"
+            )
+
+
+def _fillings(lam, max_entry):
+    """Every semistandard filling as a reading word, built cell by cell in lex order."""
+    cells = [(r, c) for r, width in enumerate(lam) for c in range(width)]
+    word = {}
+
+    def extend(i):
+        if i == len(cells):
+            yield tuple(word[cell] for cell in cells)
+            return
+        r, c = cells[i]
+        low = max(word.get((r, c - 1), 1), word.get((r - 1, c), 0) + 1)
+        for value in range(low, max_entry + 1):
+            word[r, c] = value
+            yield from extend(i + 1)
+        word.pop((r, c), None)
+
+    return list(extend(0))
+
+
+def test_weights_follow_the_reading_words_in_order():
+    # a cell-by-cell walk that shares nothing with the row walk, its bounds on
+    # first entries or its forced rows
+    for lam in partitions_up_to(6):
+        for k in range(7):
+            words = _fillings(lam, k) if len(lam) <= k else []
+            expected = [tuple(word.count(v) for v in range(1, k + 1)) for word in words]
+            assert weight_vectors(lam, k) == expected, (lam, k)
+
+
 def test_a_tall_column_walks_only_its_filling():
     # a walk that tried every row entry up to max_entry would take about half
     # an hour here, though the column has a single filling
@@ -127,9 +170,9 @@ def test_a_tall_column_walks_only_its_filling():
     # explicit stack, so height costs no call depth
     assert weight_vectors(Partition((1,) * 1200), 1200) == [(1,) * 1200]
     assert weight_vectors(Partition((2,) * 1200), 1200) == [(2,) * 1200]
-    # a tall 2-column hook: the arm box takes each entry once, in order
-    # (each of its h fillings walks all h rows, so h stays small here)
-    tall = weight_vectors(Partition((2,) + (1,) * 199), 200)
-    assert tall == [
-        tuple(1 + (i == arm) for i in range(200)) for arm in range(200)
-    ]
+    # a tall 2-column hook: the arm box takes each entry once, in order.  Its
+    # first row's entries stop where the column below still fits, and the
+    # rows beneath it are forced, so the h fillings cost no h^2 row steps
+    for h in (200, 1200):
+        tall = weight_vectors(Partition((2,) + (1,) * (h - 1)), h)
+        assert tall == [tuple(1 + (i == arm) for i in range(h)) for arm in range(h)]
