@@ -18,13 +18,14 @@ The rungs are of three kinds.  An oracle rung is one or more shapes, a k
 and a run of n, timed by the routes ``localization``
 (``chern.localization_integrals``, the sweep's verdict, one one-shape batch
 per shape for the whole run of n), ``batch`` (one call for all the rung's
-shapes together, as ``run_sweep`` makes per k) and ``expansion``
+shapes together, as ``run_sweep`` makes per k and round) and ``expansion``
 (``chern.top_chern_nonzero``, the truncated Schur expansion, one call per
 n), the latter two only on rungs marked for them; it also lists the
 predicted cost that the localization guard reads at the largest n
 (``chern.localization_cost``, summed over the shapes).  A sweep rung is one
 ``(max_size, max_k, max_n)`` window of ``run_sweep(..., with_oracle=True)``
-(route ``sweep``); the sweep-oracle benchmark workload runs the same eleven.
+(route ``sweep``): the eleven that the sweep-oracle benchmark workload runs,
+then five wide ones whose n reaches far past the flips.
 A walk rung is one ``tableaux.weight_vectors`` call on a tall hook with as
 many letters as rows (route ``weights``).
 
@@ -58,12 +59,13 @@ RUNGS = (
     (((1, 1),), 6, tuple(range(7, 21)), ()),
     (5, 5, tuple(range(6, 11)), ("batch",)),
 )
-# the sweep-oracle windows: sizes 4, 5 by k 4, 5 by n 8, 9, 10, less (5, 5, 10)
+# the sweep-oracle windows: sizes 4, 5 by k 4, 5 by n 8, 9, 10, less (5, 5, 10);
+# then the wide windows
 SWEEPS = tuple(
     (size, k, n)
     for size in (4, 5) for k in (4, 5) for n in (8, 9, 10)
     if (size, k, n) != (5, 5, 10)
-)
+) + ((1, 6, 23), (2, 6, 23), (3, 6, 20), (4, 6, 16), (5, 5, 14))
 # tall hooks (first row, height), walked with as many letters as rows
 WALKS = ((2, 600),)
 

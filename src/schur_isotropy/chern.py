@@ -13,18 +13,19 @@ and is reported.
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
 torus-fixed points (Atiyah and Bott, Topology 1984); one pass over the
-fixed points of the largest n serves every shape and n.  The bundle is
-globally generated, so the class is a nonnegative sum of Schubert classes
-(Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m meets each of them
-positively: the number is positive exactly when the class is nonzero.
-``run_sweep`` makes one call per k and takes its oracle verdicts from it
-wherever the predicted cost of a (shape, n) is under LOCALIZATION_COST_CAP.
+fixed points of the largest n serves every shape and n of a call.  The
+bundle is globally generated, so the class is a nonnegative sum of Schubert
+classes (Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m meets each
+of them positively: the number is positive exactly when the class is
+nonzero.  Isotropy is monotone in n, so ``run_sweep`` asks each (shape, k)
+for one n per round, from the degree bound up to its first positive value,
+and reads every larger n as nonzero; a candidate n whose predicted cost is
+over LOCALIZATION_COST_CAP takes the verdict of ``top_chern_nonzero``.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial, prod
@@ -137,17 +138,18 @@ def localization_integrals(
     of sigma_1 is the sum of t_I and the tangent weights are t_j - t_i (i in
     I, j not in I).  I is a fixed point for every n > max(I), so one
     lex-ordered pass over the subsets of 0..N-1, N the largest n, serves
-    every shape and n.  V(I)^2, the lift and its k-th power are formed once
-    per point for all shapes, and V(I)^2 times the signed binomials of I once
-    per point and n, when a shape first needs them; the signed binomials of
-    the first k - 1 entries once per n, for all points that share them.  The
-    roots of all shapes are the lanes of one packed integer, which moves by
-    one multiply-add per changed entry and is unpacked once per point.  A
-    shape forms its product of roots (those of each multiplicity multiplied
-    first, then raised to it once) only when none is zero and some power of
-    the lift is nonzero, and visits only the points of its own largest n, so
-    a batch is predicted to cost at most its shapes' separate passes, plus
-    the lane arithmetic: a machine word per distinct weight and point.
+    every shape and n.  V(I)^2 and the lift are formed once per point for
+    all shapes, and V(I)^2 times the signed binomials of I once per point and
+    n, when a shape first needs them; the signed binomials of the first
+    k - 1 entries once per n, for all points that share them.  The roots of
+    all shapes are the lanes of one packed integer, which moves by one
+    multiply-add per changed entry and is unpacked once per point.  A shape
+    forms its product of roots (those of each multiplicity multiplied first,
+    then raised to it once) only when none is zero and the lift's power
+    k(n-k) - D at its first n > max(I) is nonzero, raises the lift to that
+    power once per such n, and visits only the points of its own largest n,
+    so a batch is predicted to cost at most its shapes' separate passes,
+    plus the lane arithmetic: a machine word per distinct weight and point.
 
     The torus weights are t_i = 2i - (N - 1), centred on 0 so that many
     roots and lifts vanish and their points are skipped.  Any distinct
@@ -192,10 +194,8 @@ def localization_integrals(
     signed = {n: [(-1) ** i * comb(n - 1, i) for i in range(n)] for n in needed}
     # columns[s]: coordinate s of every shape's distinct weights, one lane
     # each, packed below so that one multiply-add by t_i moves the dot
-    # products of all shapes at once.  Per shape: its lanes a..b-1; groups,
-    # the runs (x, y, m) of its lanes that share the multiplicity m; first[m],
-    # the index of the first n > m; gaps[j], the power of lift^k that takes
-    # the lift's power at work[j] to the next n
+    # products of all shapes at once.  Per shape: its lanes a..b-1 and groups,
+    # the runs (x, y, m) of its lanes that share the multiplicity m
     sums, columns = [], [[] for _ in range(k)]
     for shape, degree, work in batch:
         counted = Counter(weight_vectors(shape, k, max_tableaux)).items()
@@ -205,10 +205,7 @@ def localization_integrals(
             column.extend(coordinates)
         ends = [y for y in range(1, len(mults)) if mults[y] != mults[y - 1]]
         groups = [(x, y, mults[x]) for x, y in zip([0] + ends, ends + [len(mults)])]
-        gaps = [y - x for x, y in zip(work, work[1:])] + [0]
-        first = [bisect_right(work, m) for m in range(work[-1])]
-        sums.append((a, a + len(mults), groups, work[-1], first, work, degree, gaps,
-                     [0] * len(work)))
+        sums.append((a, a + len(mults), groups, degree, work, [0] * len(work)))
     # a root w.t_I, and each partial sum of it, is less than size * N in size
     bound = max((shape.size for shape, *_ in batch), default=0) * largest
     typecode = next(c for c in "hiq" if bound < 1 << 8 * array(c).itemsize - 1)
@@ -244,30 +241,29 @@ def localization_integrals(
         partial = (partial + tails[top]) ^ offset
         dots = array(typecode, partial.to_bytes(size, byteorder))
         # per n, V^2 times the signed binomials of the whole point
-        lift_k, factors = lift ** k, {}
-        for a, b, groups, end, first, work, degree, gaps, totals in sums:
-            if top >= end:
+        factors = {}
+        for a, b, groups, degree, work, totals in sums:
+            if top >= work[-1]:
                 continue
             roots = dots[a:b]
             if 0 in roots:
                 continue
-            j = first[top]
-            power = lift ** (k * (work[j] - k) - degree)
-            if not power:
-                continue
-            # the product of roots times the lift's power at each n in turn
-            for x, y, m in groups:
-                power *= prod(roots[x:y]) ** m
-            for j in range(j, len(work)):
-                n = work[j]
+            product = None
+            for j, n in enumerate(work):
+                if n <= top:
+                    continue
+                power = lift ** (k * (n - k) - degree)
+                if not power:
+                    break  # the lift is 0, and so is every larger power of it
+                if product is None:
+                    product = prod(prod(roots[x:y]) ** m for x, y, m in groups)
                 factor = factors.get(n)
                 if factor is None:
                     head = heads.get(n)
                     if head is None:
                         head = heads[n] = prod(map(signed[n].__getitem__, point[:-1]))
                     factor = factors[n] = head * signed[n][top] * vandermonde
-                totals[j] += power * factor
-                power *= lift_k ** gaps[j]
+                totals[j] += power * product * factor
         start = last
         while start and point[start] == largest - k + start:
             start -= 1

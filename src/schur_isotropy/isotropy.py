@@ -433,41 +433,60 @@ def run_sweep(
 
     The oracle verdict is whether chern.localization_integrals is positive,
     which holds exactly when the top Chern class is nonzero; it agrees with
-    top_chern_nonzero without building its truncated Schur expansion.  One
-    call per k answers every shape and every n whose predicted cost is under
-    the cap, which is checked per (shape, n); past it (large n) the verdict
-    comes from top_chern_nonzero instead.  Order is deterministic: shapes by
-    size then lex-decreasing, then k, then n.
+    top_chern_nonzero without building its truncated Schur expansion.
+    Isotropy is monotone in n (the forms on C^n with an isotropic k-plane
+    are closed, so when the generic one has such a plane every one does,
+    and every form on C^(n+1) restricts to one of them on a hyperplane),
+    so each (shape, k) reads zero below one flip point and nonzero from it
+    on.  Below n0 = k + ceil(D/k) the class degree D exceeds dim Gr(k, n)
+    and the verdict is zero without work; from n0 up, each round makes one
+    call per k that asks every shape still pending there for one n, and a
+    shape leaves at its first positive value.  A candidate n whose
+    predicted cost is over LOCALIZATION_COST_CAP is answered by
+    top_chern_nonzero instead.  Order is deterministic: shapes by size then
+    lex-decreasing, then k, then n.
     """
     shapes = [shape for shape in partitions_up_to(max_size) if shape]
     oracle_k = min(max_k, k_cap) if with_oracle else 0
-    runs = {k: {} for k in range(1, oracle_k + 1)}
-    for shape in shapes:
-        for k in range(len(shape), oracle_k + 1):
-            degree = schur_ones_hook_content(shape, k)
-            if degree <= dim_cap:
-                runs[k][shape] = [
-                    n for n in range(k + 1, max_n + 1)
-                    if chern.localization_cost(k, n, degree)
-                    <= chern.LOCALIZATION_COST_CAP
-                ]
-    integrals = {
-        k: chern.localization_integrals(run, k, max_tableaux)
-        for k, run in runs.items() if run
-    }
+    # flips[(shape, k)]: the first n whose class is nonzero, or an n past the
+    # window when none is; while the shape is pending, its candidate n
+    flips = {}
+    for k in range(1, oracle_k + 1):
+        degrees = {}
+        for shape in shapes:
+            if len(shape) <= k:
+                degree = schur_ones_hook_content(shape, k)
+                if degree <= dim_cap:
+                    degrees[shape] = degree
+                    flips[shape, k] = max(k + 1, k + _ceil_div(degree, k))
+        pending = [shape for shape in degrees if flips[shape, k] <= max_n]
+        while pending:
+            asked, nonzero = {}, {}
+            for shape in pending:
+                n, degree = flips[shape, k], degrees[shape]
+                cost = chern.localization_cost(k, n, degree)
+                if cost <= chern.LOCALIZATION_COST_CAP:
+                    asked[shape] = [n]
+                else:
+                    oracle = chern.top_chern_nonzero(shape, k, n, max_tableaux)
+                    nonzero[shape] = oracle.nonzero
+            values = chern.localization_integrals(asked, k, max_tableaux)
+            for shape, [n] in asked.items():
+                nonzero[shape] = values[shape][n] > 0
+            for shape, found in nonzero.items():
+                if not found:
+                    flips[shape, k] += 1
+            pending = [
+                shape for shape in pending
+                if not nonzero[shape] and flips[shape, k] <= max_n
+            ]
     cases = []
     for shape in shapes:
         for k in range(len(shape), max_k + 1):
-            values = integrals.get(k, {}).get(shape)
+            flip = flips.get((shape, k))
             for n in range(k + 1, max_n + 1):
                 verdict = decide(shape, k, n)
-                if values is None:
-                    oracle = None
-                elif n in values:
-                    oracle = values[n] > 0
-                else:
-                    # past the cost cap: the sum grows with C(n, k), the expansion not
-                    oracle = chern.top_chern_nonzero(shape, k, n, max_tableaux).nonzero
+                oracle = None if flip is None else n >= flip
                 # a Verdict starts with isotropic, rule, threshold_n
                 cases.append(AgreementCase(shape, k, n, *verdict[:3], oracle))
     return cases

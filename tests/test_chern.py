@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from schur_isotropy import chern
@@ -219,6 +221,68 @@ def test_a_window_split_by_the_cost_cap_keeps_its_cases(monkeypatch):
     monkeypatch.setattr(chern, "top_chern_nonzero", recording)
     assert run_sweep(3, 4, 10, with_oracle=True) == expected
     assert ((2, 1), 4, 9) in expanded and ((2, 1), 4, 8) not in expanded
+
+
+def test_the_flip_reading_equals_the_values_at_every_n():
+    # run_sweep reads each (shape, k) from its first positive n; here every n
+    # of the 11 sweep-oracle windows is summed on its own terms, one call per
+    # k with whole runs of n
+    values = {
+        k: localization_integrals(
+            {
+                lam: range(k + 1, 11) for lam in partitions_up_to(5)
+                if lam and len(lam) <= k and schur_ones_hook_content(lam, k) <= 40
+            },
+            k,
+        )
+        for k in range(1, 6)
+    }
+    windows = [
+        (size, k, n) for size in (4, 5) for k in (4, 5) for n in (8, 9, 10)
+        if (size, k, n) != (5, 5, 10)
+    ]
+    assert len(windows) == 11
+    for window in windows:
+        for case in run_sweep(*window, with_oracle=True):
+            value = values[case.k].get(case.shape, {}).get(case.n)
+            expected = None if value is None else value > 0
+            assert case.oracle_nonzero == expected, (window, case)
+
+
+def test_the_localization_sign_never_falls_as_n_grows():
+    # the monotonicity that lets the sweep read every n past a flip as
+    # nonzero, over the grid of size <= 6, k <= 6, dim <= 40, n <= 13
+    pairs = 0
+    for k in range(1, 7):
+        grid = [
+            lam for lam in partitions_up_to(6)
+            if lam and len(lam) <= k and schur_ones_hook_content(lam, k) <= 40
+        ]
+        values = localization_integrals({lam: range(k + 1, 14) for lam in grid}, k)
+        for lam in grid:
+            signs = [value > 0 for value in values[lam].values()]
+            assert signs == sorted(signs), (lam, k, signs)
+            pairs += 1
+    assert pairs == 77
+
+
+def test_a_wide_sweep_asks_only_near_each_flip(monkeypatch):
+    # each (shape, k) asks for n from its degree bound up to its first
+    # positive value, however far the window reaches
+    asked = Counter()
+    true_integrals = chern.localization_integrals
+
+    def recording(runs, k, *args, **kwargs):
+        for shape, ns in runs.items():
+            asked[shape, k] += len(ns)
+        return true_integrals(runs, k, *args, **kwargs)
+
+    monkeypatch.setattr(chern, "localization_integrals", recording)
+    cases = run_sweep(3, 6, 40, with_oracle=True)
+    assert len(cases) == 1159
+    assert sum(case.oracle_nonzero is not None for case in cases) == 1091
+    assert not [case for case in cases if case.agree is False]
+    assert asked and max(asked.values()) <= 3
 
 
 def test_one_pass_over_n_matches_one_call_per_n():
