@@ -18,7 +18,7 @@ The rungs are of three kinds.  An oracle rung is one or more shapes, a k
 and a run of n, timed by the routes ``localization``
 (``chern.localization_integrals``, the sweep's verdict, one one-shape batch
 per shape for the whole run of n), ``batch`` (one call for all the rung's
-shapes together, as ``run_sweep`` makes per k and round) and ``expansion``
+shapes together, as ``chern.flip_points`` makes per round) and ``expansion``
 (``chern.top_chern_nonzero``, the truncated Schur expansion, one call per
 n), the latter two only on rungs marked for them; it also lists the
 predicted cost that the localization guard reads at the largest n

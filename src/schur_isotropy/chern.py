@@ -17,10 +17,14 @@ fixed points of the largest n serves every shape and n of a call.  The
 bundle is globally generated, so the class is a nonnegative sum of Schubert
 classes (Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m meets each
 of them positively: the number is positive exactly when the class is
-nonzero.  Isotropy is monotone in n, so ``run_sweep`` asks each (shape, k)
-for one n per round, from the degree bound up to its first positive value,
-and reads every larger n as nonzero; a candidate n whose predicted cost is
-over LOCALIZATION_COST_CAP takes the verdict of ``top_chern_nonzero``.
+nonzero.
+
+``flip_points`` finds, per shape at one k, the first n at which the class
+is nonzero, from the sign of the localization integral, or from
+``top_chern_nonzero`` where the sum's predicted cost is over
+LOCALIZATION_COST_CAP; isotropy is monotone in n, so the class is nonzero
+at every larger n.  ``isotropy.run_sweep`` reads its oracle column from
+these flip points.
 """
 
 from __future__ import annotations
@@ -126,9 +130,7 @@ def _pack(values: Iterable[int], offset: int, typecode: str) -> int:
 
 
 def localization_integrals(
-    runs: Mapping[Partition, Iterable[int]],
-    k: int,
-    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
+    runs: Mapping[Partition, Iterable[int]], k: int
 ) -> dict[Partition, dict[int, int]]:
     """{shape: {n: the degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on
     Gr(k, n)}} for each shape and n of ``runs``, a map from shape to its n.
@@ -198,7 +200,7 @@ def localization_integrals(
     # the runs (x, y, m) of its lanes that share the multiplicity m
     sums, columns = [], [[] for _ in range(k)]
     for shape, degree, work in batch:
-        counted = Counter(weight_vectors(shape, k, max_tableaux)).items()
+        counted = Counter(weight_vectors(shape, k)).items()
         weights, mults = zip(*sorted(counted, key=itemgetter(1)))
         a = len(columns[0])
         for column, coordinates in zip(columns, zip(*weights)):
@@ -285,3 +287,46 @@ def localization_integrals(
                 )
             values[shape][n] = value
     return values
+
+
+def flip_points(
+    degrees: Mapping[Partition, int], k: int, max_n: int
+) -> dict[Partition, int]:
+    """{shape: the first n <= max_n at which the top Chern class on Gr(k, n) is
+    nonzero, or max_n + 1 when there is none} for each shape of ``degrees``,
+    a map from shape to its class degree D at k.
+
+    Isotropy is monotone in n (the forms on C^n with an isotropic k-plane
+    are closed, so when the generic one has such a plane every one does,
+    and every form on C^(n+1) restricts to one of them on a hyperplane), so
+    each shape reads zero below one flip point and nonzero from it on.
+    Below n0 = k + ceil(D/k) the class degree exceeds dim Gr(k, n) and the
+    class is zero without work, so a shape starts at max(k + 1, n0).  Each
+    round makes one localization_integrals call that asks every shape still
+    pending for one n, and a shape leaves at its first positive value.  A
+    candidate n whose localization_cost is over LOCALIZATION_COST_CAP is
+    answered by top_chern_nonzero instead.
+    """
+    flips = {
+        shape: min(max(k + 1, k - (-degree // k)), max_n + 1)
+        for shape, degree in degrees.items()
+    }
+    pending = [shape for shape in degrees if flips[shape] <= max_n]
+    while pending:
+        asked, nonzero = {}, {}
+        for shape in pending:
+            n = flips[shape]
+            if localization_cost(k, n, degrees[shape]) <= LOCALIZATION_COST_CAP:
+                asked[shape] = [n]
+            else:
+                nonzero[shape] = top_chern_nonzero(shape, k, n).nonzero
+        values = localization_integrals(asked, k)
+        for shape, [n] in asked.items():
+            nonzero[shape] = values[shape][n] > 0
+        for shape in pending:
+            if not nonzero[shape]:
+                flips[shape] += 1
+        pending = [
+            shape for shape in pending if not nonzero[shape] and flips[shape] <= max_n
+        ]
+    return flips

@@ -17,20 +17,15 @@ from .isotropy import (
     decide,
     min_isotropic_n,
     run_sweep,
+    self_check_suites,
     tevelev_inequalities,
     threshold_n,
     verify_proof_chain,
 )
-from .partitions import Partition, parse_partition, partitions_up_to
-from .schur import (
-    dim_schur_module,
-    dimension_ratio_gain,
-    schur_ones_hook_content,
-    schur_ones_recurrence,
-    symmetric_power_ratio_gain,
-)
+from .partitions import Partition, parse_partition
+from .schur import dim_schur_module, schur_ones_hook_content
 from .sympoly import DEFAULT_TERM_CAP, expansion_to_json
-from .tableaux import DEFAULT_ENUMERATION_CAP, count_ssyt
+from .tableaux import DEFAULT_ENUMERATION_CAP
 
 SCHEMA_VERSION = "1"
 
@@ -81,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, lam=False, k=False, n=False, caps=False, terms=False):
+    def add_common(p, *, lam=False, k=False, n=False, caps=False):
         if lam:
             p.add_argument(
                 "--lambda", dest="lam", type=_partition_arg, required=True,
@@ -97,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-tableaux", type=_positive_int,
                            default=DEFAULT_ENUMERATION_CAP,
                            help="enumeration cap (default %(default)s)")
-        if terms:
             p.add_argument("--max-terms", type=_positive_int,
                            default=DEFAULT_TERM_CAP,
                            help="polynomial term cap (default %(default)s)")
@@ -115,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, lam=True, k=True)
 
     p = sub.add_parser("oracle", help="top Chern class test on Gr(k, n)")
-    add_common(p, lam=True, k=True, n=True, caps=True, terms=True)
+    add_common(p, lam=True, k=True, n=True, caps=True)
 
     p = sub.add_parser("check-lemma36",
                        help="interlacing inequality family dim <= (k-i)(n-k-i)")
@@ -134,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest n (default %(default)s)")
     p.add_argument("--with-oracle", action="store_true",
                    help="also run the Chern oracle wherever caps allow")
-    add_common(p, caps=True)
+    add_common(p)
 
     p = sub.add_parser("self-check",
                        help="dimension triple agreement and the inequality suites")
@@ -145,17 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_dim(args):
     dim = str(dim_schur_module(args.lam, args.n).value)
-    inputs = {"lambda": list(args.lam), "n": args.n}
-    result = {**inputs, "dim": dim}
+    result = {"lambda": list(args.lam), "n": args.n, "dim": dim}
     human = _format_table(
         ["lambda", "n", "dim"], [[args.lam.as_text() or "-", str(args.n), dim]]
     )
-    return inputs, result, human, EXIT_OK
+    return result, human, EXIT_OK
 
 
 def _cmd_decide(args):
     verdict = decide(args.lam, args.k, args.n)
-    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n}
     result = {"isotropic": verdict.isotropic, "rule": verdict.rule}
     if verdict.threshold_n is not None:
         result["threshold_n"] = verdict.threshold_n
@@ -168,11 +160,10 @@ def _cmd_decide(args):
             "-" if verdict.threshold_n is None else str(verdict.threshold_n),
         ]],
     ) + [f"detail: {verdict.detail}"]
-    return inputs, result, human, EXIT_OK
+    return result, human, EXIT_OK
 
 
 def _cmd_min_n(args):
-    inputs = {"lambda": list(args.lam), "k": args.k}
     smallest = min_isotropic_n(args.lam, args.k)
     rule = decide(args.lam, args.k, smallest).rule
     try:
@@ -193,7 +184,7 @@ def _cmd_min_n(args):
             "-" if formula is None else str(formula), str(smallest), rule,
         ]],
     )
-    return inputs, result, human, EXIT_OK
+    return result, human, EXIT_OK
 
 
 def _cmd_oracle(args):
@@ -201,8 +192,6 @@ def _cmd_oracle(args):
         args.lam, args.k, args.n,
         max_tableaux=args.max_tableaux, max_terms=args.max_terms,
     )
-    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n,
-              "max_tableaux": args.max_tableaux, "max_terms": args.max_terms}
     result = {
         "nonzero": verdict.nonzero,
         "degree": str(verdict.degree),
@@ -217,12 +206,11 @@ def _cmd_oracle(args):
         f"  degree: {verdict.degree}  shortcut: {verdict.shortcut}",
         "surviving classes:",
     ] + _format_table(["mu", "coeff"], rows)
-    return inputs, result, human, EXIT_OK
+    return result, human, EXIT_OK
 
 
 def _cmd_check_lemma36(args):
     report = tevelev_inequalities(args.lam, args.k, args.n)
-    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n}
     result = {
         "rows": [
             {"i": row.index, "lhs": str(row.lhs), "rhs": str(row.rhs),
@@ -236,12 +224,11 @@ def _cmd_check_lemma36(args):
         [[str(r.index), str(r.lhs), str(r.rhs), str(r.holds).lower()]
          for r in report.rows],
     ) + [f"all hold: {str(report.all_hold).lower()}"]
-    return inputs, result, human, EXIT_OK
+    return result, human, EXIT_OK
 
 
 def _cmd_proof_chain(args):
     steps = verify_proof_chain(args.lam, args.k, args.n)
-    inputs = {"lambda": list(args.lam), "k": args.k, "n": args.n}
     result = {
         "steps": [step._asdict() for step in steps],
         "all_verified": all(s.holds for s in steps),
@@ -250,18 +237,13 @@ def _cmd_proof_chain(args):
         ["step", "holds", "detail"],
         [[s.name, str(s.holds).lower(), s.detail] for s in steps],
     ) + [f"all verified: {str(all(s.holds for s in steps)).lower()}"]
-    return inputs, result, human, EXIT_OK
+    return result, human, EXIT_OK
 
 
 def _cmd_sweep(args):
-    cases = run_sweep(
-        args.max_size, args.max_k, args.max_n,
-        with_oracle=args.with_oracle, max_tableaux=args.max_tableaux,
-    )
+    cases = run_sweep(args.max_size, args.max_k, args.max_n, with_oracle=args.with_oracle)
     disagreements = sum(1 for c in cases if c.agree is False)
     compared = sum(1 for c in cases if c.oracle_nonzero is not None)
-    inputs = {"max_size": args.max_size, "max_k": args.max_k, "max_n": args.max_n,
-              "with_oracle": args.with_oracle, "max_tableaux": args.max_tableaux}
     result = {
         "total": len(cases),
         "compared": compared,
@@ -288,55 +270,23 @@ def _cmd_sweep(args):
         f"  disagreements: {disagreements}"
     ]
     code = EXIT_DISAGREEMENT if disagreements else EXIT_OK
-    return inputs, result, human, code
-
-
-def _self_check_suites():
-    from fractions import Fraction
-
-    shapes = list(partitions_up_to(6))
-    nonempty = [s for s in shapes if s]
-    gain = dimension_ratio_gain
-    return [
-        ("dimension-triple-agreement", [
-            schur_ones_hook_content(s, n) == schur_ones_recurrence(s, n)
-            == count_ssyt(s, n)
-            for s in shapes for n in range(7)
-        ]),
-        ("ratio-nondecreasing", [
-            gain(s, k) >= 0 for s in nonempty for k in range(2, 8)
-        ]),
-        ("ratio-gain-unit-fraction", [
-            gain(s, k) >= Fraction(1, k)
-            for s in nonempty for k in range(2, 8) if 2 <= len(s) <= k - 1
-        ]),
-        ("ratio-gain-one", [
-            gain(s, k) >= 1
-            for s in nonempty if s not in ((1,), (2,), (1, 1))
-            for k in range(3, 8) if len(s) <= k - 2
-        ]),
-        ("binomial-ratio-gain-one", [
-            symmetric_power_ratio_gain(d, alpha) >= 1
-            for d in range(3, 9) for alpha in range(2, 9)
-        ]),
-    ]
+    return result, human, code
 
 
 def _cmd_self_check(args):
     suites = [
         {"name": name, "cases": len(outcomes), "violations": outcomes.count(False),
          "ok": all(outcomes)}
-        for name, outcomes in _self_check_suites()
+        for name, outcomes in self_check_suites()
     ]
     all_ok = all(suite["ok"] for suite in suites)
-    inputs = {}
     result = {"suites": suites, "ok": all_ok}
     human = [
         f"{'PASS' if s['ok'] else 'FAIL'}  {s['name']}:"
         f" {s['cases']} cases, {s['violations']} violations"
         for s in suites
     ] + [f"self-check: {'PASS' if all_ok else 'FAIL'}"]
-    return inputs, result, human, EXIT_OK if all_ok else EXIT_DOMAIN_ERROR
+    return result, human, EXIT_OK if all_ok else EXIT_DOMAIN_ERROR
 
 
 _HANDLERS = {
@@ -360,7 +310,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        inputs, result, human, code = _HANDLERS[args.command](args)
+        result, human, code = _HANDLERS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
@@ -368,6 +318,13 @@ def run(argv: list[str] | None = None) -> int:
     if args.json:
         import json
 
+        # every parsed argument but the output switches, as given; the dest of
+        # --lambda is lam, and a Partition is written as a JSON list
+        inputs = {
+            "lambda" if name == "lam" else name: value
+            for name, value in vars(args).items()
+            if name not in ("command", "json", "timing")
+        }
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

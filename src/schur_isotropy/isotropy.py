@@ -8,8 +8,8 @@ binomial criteria of Tevelev together with the exceptional families: the
 two degree-2 shapes, alternating (n-2)-forms with n even, and alternating
 3-forms on C^7.  The one uncovered corner (k = 2 with a two-row,
 two-column shape) is delegated to the top-Chern-class oracle.  ``run_sweep``
-compares the rules with that class over a grid of small instances, by the
-sign of its localization integral.
+compares the rules with that class over a grid of small instances, at the
+flip points that ``chern.flip_points`` finds.
 
 The degree-2 shapes flip at different points.  A generic symmetric form
 (shape (2,)) is nondegenerate, so its isotropic subspaces have dimension
@@ -36,8 +36,13 @@ from .errors import (
     ZeroModule,
 )
 from .partitions import Partition, partitions_up_to, strip_full_height_columns
-from .schur import schur_ones_hook_content
-from .tableaux import DEFAULT_ENUMERATION_CAP
+from .schur import (
+    dimension_ratio_gain,
+    schur_ones_hook_content,
+    schur_ones_recurrence,
+    symmetric_power_ratio_gain,
+)
+from .tableaux import count_ssyt
 
 RULE_MAIN = "main-theorem"
 RULE_TEVELEV_SYMMETRIC = "tevelev-symmetric"
@@ -54,20 +59,6 @@ RULE_ORACLE_FALLBACK = "oracle-fallback"
 # queries may raise the tableau/term caps via flags instead.
 SWEEP_DIM_CAP = 40
 SWEEP_K_CAP = 6
-
-RULES = (
-    RULE_MAIN,
-    RULE_TEVELEV_SYMMETRIC,
-    RULE_TEVELEV_SKEW,
-    RULE_EXCEPTION_DEGREE_2,
-    RULE_EXCEPTION_SKEW_DEGREE_2,
-    RULE_EXCEPTION_SKEW_N_MINUS_2,
-    RULE_EXCEPTION_SKEW_3_N7,
-    RULE_DEGREE_1,
-    RULE_TRIVIAL,
-    RULE_ORACLE_FALLBACK,
-)
-
 
 class Verdict(NamedTuple):
     """Isotropy decision plus the rule that produced it.
@@ -425,31 +416,18 @@ def run_sweep(
     with_oracle: bool = False,
     dim_cap: int = SWEEP_DIM_CAP,
     k_cap: int = SWEEP_K_CAP,
-    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[AgreementCase]:
     """Decision verdicts for every nonempty shape of size <= max_size,
     rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
-    wherever the oracle caps allow.
+    wherever k <= k_cap and the class degree is at most dim_cap.
 
-    The oracle verdict is whether chern.localization_integrals is positive,
-    which holds exactly when the top Chern class is nonzero; it agrees with
-    top_chern_nonzero without building its truncated Schur expansion.
-    Isotropy is monotone in n (the forms on C^n with an isotropic k-plane
-    are closed, so when the generic one has such a plane every one does,
-    and every form on C^(n+1) restricts to one of them on a hyperplane),
-    so each (shape, k) reads zero below one flip point and nonzero from it
-    on.  Below n0 = k + ceil(D/k) the class degree D exceeds dim Gr(k, n)
-    and the verdict is zero without work; from n0 up, each round makes one
-    call per k that asks every shape still pending there for one n, and a
-    shape leaves at its first positive value.  A candidate n whose
-    predicted cost is over LOCALIZATION_COST_CAP is answered by
-    top_chern_nonzero instead.  Order is deterministic: shapes by size then
-    lex-decreasing, then k, then n.
+    The oracle verdict is whether n has reached the (shape, k) flip point
+    that chern.flip_points finds, one call per k; it agrees with
+    top_chern_nonzero at every n.  Order is deterministic: shapes by size
+    then lex-decreasing, then k, then n.
     """
     shapes = [shape for shape in partitions_up_to(max_size) if shape]
     oracle_k = min(max_k, k_cap) if with_oracle else 0
-    # flips[(shape, k)]: the first n whose class is nonzero, or an n past the
-    # window when none is; while the shape is pending, its candidate n
     flips = {}
     for k in range(1, oracle_k + 1):
         degrees = {}
@@ -458,28 +436,8 @@ def run_sweep(
                 degree = schur_ones_hook_content(shape, k)
                 if degree <= dim_cap:
                     degrees[shape] = degree
-                    flips[shape, k] = max(k + 1, k + _ceil_div(degree, k))
-        pending = [shape for shape in degrees if flips[shape, k] <= max_n]
-        while pending:
-            asked, nonzero = {}, {}
-            for shape in pending:
-                n, degree = flips[shape, k], degrees[shape]
-                cost = chern.localization_cost(k, n, degree)
-                if cost <= chern.LOCALIZATION_COST_CAP:
-                    asked[shape] = [n]
-                else:
-                    oracle = chern.top_chern_nonzero(shape, k, n, max_tableaux)
-                    nonzero[shape] = oracle.nonzero
-            values = chern.localization_integrals(asked, k, max_tableaux)
-            for shape, [n] in asked.items():
-                nonzero[shape] = values[shape][n] > 0
-            for shape, found in nonzero.items():
-                if not found:
-                    flips[shape, k] += 1
-            pending = [
-                shape for shape in pending
-                if not nonzero[shape] and flips[shape, k] <= max_n
-            ]
+        for shape, flip in chern.flip_points(degrees, k, max_n).items():
+            flips[shape, k] = flip
     cases = []
     for shape in shapes:
         for k in range(len(shape), max_k + 1):
@@ -490,3 +448,36 @@ def run_sweep(
                 # a Verdict starts with isotropic, rule, threshold_n
                 cases.append(AgreementCase(shape, k, n, *verdict[:3], oracle))
     return cases
+
+
+def self_check_suites() -> list[tuple[str, list[bool]]]:
+    """(name, one outcome per case) for each dimension identity and ratio-gain
+    bound that the self-check command reruns over small shapes."""
+    from fractions import Fraction
+
+    shapes = list(partitions_up_to(6))
+    nonempty = [s for s in shapes if s]
+    gain = dimension_ratio_gain
+    return [
+        ("dimension-triple-agreement", [
+            schur_ones_hook_content(s, n) == schur_ones_recurrence(s, n)
+            == count_ssyt(s, n)
+            for s in shapes for n in range(7)
+        ]),
+        ("ratio-nondecreasing", [
+            gain(s, k) >= 0 for s in nonempty for k in range(2, 8)
+        ]),
+        ("ratio-gain-unit-fraction", [
+            gain(s, k) >= Fraction(1, k)
+            for s in nonempty for k in range(2, 8) if 2 <= len(s) <= k - 1
+        ]),
+        ("ratio-gain-one", [
+            gain(s, k) >= 1
+            for s in nonempty if s not in ((1,), (2,), (1, 1))
+            for k in range(3, 8) if len(s) <= k - 2
+        ]),
+        ("binomial-ratio-gain-one", [
+            symmetric_power_ratio_gain(d, alpha) >= 1
+            for d in range(3, 9) for alpha in range(2, 9)
+        ]),
+    ]

@@ -29,12 +29,14 @@ class Partition(tuple):
         if type(parts) is cls:
             return parts
         parts = tuple(parts)
+        for p in parts:
+            # bool is an int subclass, but True is no part and False no zero
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise MalformedInput(f"part {p!r} is not an integer")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         previous = None
         for p in parts:
-            if not isinstance(p, int):
-                raise MalformedInput(f"part {p!r} is not an integer")
             if p <= 0:
                 raise NonPositivePart(f"part {p} is not positive")
             if previous is not None and p > previous:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from schur_isotropy import chern
+from schur_isotropy import chern, isotropy
 from schur_isotropy.cli import run
 
 SCHEMA = json.loads(
@@ -160,6 +161,55 @@ def test_sweep_exit_code_on_disagreement(capsys, monkeypatch):
             "rule": "exception-skew-degree-2", "oracle_nonzero": False, "agree": False,
         }
     ]
+
+
+# (argv, exit code, sha256 of the human-format stdout), one per command
+HUMAN_OUTPUTS = [
+    ("dim --lambda 2,1 --n 3", 0,
+     "8df375e209a2baf991d33ebbb5178cb36a104079b287f9084e86e9245bc4752f"),
+    ("decide --lambda 2,1 --k 3 --n 6", 0,
+     "004b6ccd9b56004613969684f95c8e9edd3a3d3ca707545afa34b516a4d91522"),
+    ("min-n --lambda 2,2 --k 3", 0,
+     "e9bef896f75b462ef9a1a7a932341f1c9ecdfeb63dd4f1e2df21d0b8703f46bf"),
+    ("oracle --lambda 2,1 --k 3 --n 6", 0,
+     "81d1c7b80be71a63192301011f69dfb6dfaff5889d58bc4028ba0977f3df64b8"),
+    ("check-lemma36 --lambda 2,1 --k 3 --n 6", 0,
+     "1197476b375a9c907f25bd26f8020332514b657ec1e4388a32e7a37abab4cc57"),
+    ("proof-chain --lambda 2,1 --k 3 --n 6", 0,
+     "e4a04c53d6dbaa41a0479bc9f1f2d1f3667f24e598410191cd9163fe2820efa3"),
+    ("sweep --max-size 3 --max-k 3 --max-n 6 --with-oracle", 0,
+     "69e1fe152039d40f9f120fe663482ec0821f19b92edeeae3cfabba2b45949460"),
+    ("self-check", 0,
+     "b96f7eddf95884c471ab3138daa5f3f8aeffccba4ac42c00d0290e70016a506b"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", HUMAN_OUTPUTS)
+def test_human_output_bytes_are_pinned(capsys, argv, code, digest):
+    assert run(argv.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_sweep_json_inputs_are_its_arguments(capsys):
+    code, envelope = run_json(capsys, ["sweep", "--max-size", "2", "--max-n", "3"])
+    assert code == 0
+    assert envelope["inputs"] == {
+        "max_size": 2, "max_k": 5, "max_n": 3, "with_oracle": False,
+    }
+
+
+def test_sweep_has_no_enumeration_cap_flag(capsys):
+    # the sweep runs the oracle only where the class degree, the number of
+    # fillings, is at most 40, so no enumeration cap could bind there
+    assert run(["sweep", "--max-tableaux", "5"]) == 2
+    assert "--max-tableaux" in capsys.readouterr().err
+
+
+def test_the_schema_rules_are_the_code_rules():
+    rules = {
+        value for name, value in vars(isotropy).items() if name.startswith("RULE_")
+    }
+    assert set(SCHEMA["definitions"]["rule"]["enum"]) == rules
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,6 +7,7 @@ from schur_isotropy.errors import (
     NonPositivePart,
     NotWeaklyDecreasing,
 )
+from schur_isotropy.isotropy import decide
 from schur_isotropy.partitions import (
     Partition,
     horizontal_strip_predecessors,
@@ -79,6 +80,14 @@ def test_a_partition_passes_through_unchanged():
         Partition((3, 1.0))
     with pytest.raises(MalformedInput):
         Partition(("3", "1"))
+
+
+@pytest.mark.parametrize("parts", [(True,), (2, True), (2, False), (2, 0.0)])
+def test_constructor_rejects_bools_and_non_integer_zeros(parts):
+    with pytest.raises(MalformedInput):
+        Partition(parts)
+    with pytest.raises(MalformedInput):
+        decide(parts, 3, 6)
 
 
 def test_partition_accessors():
