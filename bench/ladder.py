@@ -1,4 +1,4 @@
-"""Time the top-Chern-class routes, whole sweeps and tableau walks on a fixed ladder.
+"""Time the top-Chern-class routes, sweeps, tableau walks and weight tables on a ladder.
 
 Run from the repository root:
 
@@ -14,11 +14,11 @@ the median over the repeats of this tree's time over the base's.  Absolute
 seconds from different runs are not comparable on a machine whose CPU speed
 drifts; these paired ratios are.
 
-The rungs are of three kinds.  An oracle rung is one or more shapes, a k
+The rungs are of four kinds.  An oracle rung is one or more shapes, a k
 and a run of n, timed by the routes ``localization``
 (``chern.localization_integrals``, the sweep's verdict, one one-shape batch
 per shape for the whole run of n), ``batch`` (one call for all the rung's
-shapes together, as ``chern.flip_points`` makes per round) and ``expansion``
+shapes together, as ``chern.flip_points`` makes per k and round) and ``expansion``
 (``chern.top_chern_nonzero``, the truncated Schur expansion, one call per
 n), the latter two only on rungs marked for them; it also lists the
 predicted cost that the localization guard reads at the largest n
@@ -27,11 +27,17 @@ predicted cost that the localization guard reads at the largest n
 (route ``sweep``): the eleven that the sweep-oracle benchmark workload runs,
 then five wide ones whose n reaches far past the flips.
 A walk rung is one ``tableaux.weight_vectors`` call on a tall hook with as
-many letters as rows (route ``weights``).
+many letters as rows (route ``weights``).  A table rung gives every shape
+up to a size the distinct weights and multiplicities of its fillings at
+every k up to a bound, by ``tableaux.weight_counts`` with one shared table
+(route ``table``, timed on this tree only, as a base tree may lack it) and
+by counting ``tableaux.weight_vectors`` (route ``enumeration``); it reports
+``table_over_enumeration``, the ratio of their medians on this tree.
 
 The script exits 1 when a rung's routes disagree on a verdict, when a batch
-differs from its one-shape batches, when a sweep finds a disagreement, or
-when the base tree answers any rung differently.
+differs from its one-shape batches, when a sweep finds a disagreement, when a
+table differs from the counted walk, or when the base tree answers any rung
+differently.
 """
 
 from __future__ import annotations
@@ -68,9 +74,12 @@ SWEEPS = tuple(
 ) + ((1, 6, 23), (2, 6, 23), (3, 6, 20), (4, 6, 16), (5, 5, 14))
 # tall hooks (first row, height), walked with as many letters as rows
 WALKS = ((2, 600),)
+# weight tables: (largest size, largest k), every shape at every k from 1 up
+TABLES = ((5, 5),)
 
 CHILD = """\
 import hashlib, json, sys
+from collections import Counter
 from time import perf_counter
 from schur_isotropy import chern
 from schur_isotropy.isotropy import run_sweep
@@ -88,6 +97,25 @@ if route == "sweep":
         "compared": sum(c.oracle_nonzero is not None for c in cases),
         "disagreements": sum(c.agree is False for c in cases),
         "digest": hashlib.sha256(repr(cases).encode()).hexdigest(),
+    }))
+    sys.exit()
+if route in ("table", "enumeration"):
+    size, top = spec
+    pairs = [(lam, k) for lam in partitions_up_to(size) for k in range(1, top + 1)]
+    start = perf_counter()
+    if route == "table":
+        from schur_isotropy.tableaux import weight_counts
+        table = {}
+        counts = [weight_counts(lam, k, table) for lam, k in pairs]
+    else:
+        counts = [Counter(weight_vectors(lam, k)) for lam, k in pairs]
+    seconds = perf_counter() - start
+    print(json.dumps({
+        "s": seconds,
+        "pairs": len(pairs),
+        "digest": hashlib.sha256(
+            repr([sorted(c.items()) for c in counts]).encode()
+        ).hexdigest(),
     }))
     sys.exit()
 if route == "weights":
@@ -216,6 +244,17 @@ def main() -> int:
         agree = agree and same(runs + base_runs, "digest")
         rungs.append({"hook": f"{arm},1^{height - 1}", "max_entry": height,
                       "weights": entry})
+        print(json.dumps(rungs[-1]), flush=True)
+    for size, top in TABLES:
+        walked, runs, base_runs = timed("enumeration", [size, top], base)
+        built, tables, _ = timed("table", [size, top], None)
+        agree = agree and same(runs + base_runs + tables, "digest")
+        rungs.append({
+            "tables": {"max_size": size, "max_k": top, "pairs": runs[0]["pairs"]},
+            "enumeration": walked,
+            "table": built,
+            "table_over_enumeration": round(built["median_s"] / walked["median_s"], 3),
+        })
         print(json.dumps(rungs[-1]), flush=True)
 
     report = {

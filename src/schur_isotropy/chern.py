@@ -12,25 +12,25 @@ and is reported.
 
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
-torus-fixed points (Atiyah and Bott, Topology 1984); one pass over the
-fixed points of the largest n serves every shape and n of a call.  The
+torus-fixed points (Atiyah and Bott, Topology 1984), from each shape's
+tableaux.weight_counts; one pass over the fixed points of the largest n
+serves every shape and n of a call.  The
 bundle is globally generated, so the class is a nonnegative sum of Schubert
 classes (Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m meets each
 of them positively: the number is positive exactly when the class is
 nonzero.
 
-``flip_points`` finds, per shape at one k, the first n at which the class
-is nonzero, from the sign of the localization integral, or from
+``flip_points`` finds, per (shape, k), the first n at which the class is
+nonzero, from the sign of the localization integral, or from
 ``top_chern_nonzero`` where the sum's predicted cost is over
 LOCALIZATION_COST_CAP; isotropy is monotone in n, so the class is nonzero
-at every larger n.  ``isotropy.run_sweep`` reads its oracle column from
-these flip points.
+at every larger n.  ``isotropy.run_sweep`` reads its oracle column and its
+k = 2 fallback from one such search, which shares one weight table.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from itertools import combinations
 from math import comb, factorial, prod
 from operator import itemgetter
@@ -47,7 +47,7 @@ from .errors import (
 from .partitions import Partition
 from .schur import schur_ones_hook_content
 from .sympoly import DEFAULT_TERM_CAP, box_schur_expand
-from .tableaux import DEFAULT_ENUMERATION_CAP, weight_vectors
+from .tableaux import DEFAULT_ENUMERATION_CAP, weight_counts, weight_vectors
 
 SHORTCUT_NONE = "none"
 SHORTCUT_DEGREE = "degree-exceeds-top"
@@ -130,41 +130,40 @@ def _pack(values: Iterable[int], offset: int, typecode: str) -> int:
 
 
 def localization_integrals(
-    runs: Mapping[Partition, Iterable[int]], k: int
+    runs: Mapping[Partition, Iterable[int]], k: int, table: dict | None = None
 ) -> dict[Partition, dict[int, int]]:
     """{shape: {n: the degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on
     Gr(k, n)}} for each shape and n of ``runs``, a map from shape to its n.
 
     Atiyah-Bott localization: a fixed point of Gr(k, n) is a k-subset I of
-    0..n-1, where each tableau weight w gives the Chern root w.t_I, the lift
-    of sigma_1 is the sum of t_I and the tangent weights are t_j - t_i (i in
-    I, j not in I).  I is a fixed point for every n > max(I), so one
-    lex-ordered pass over the subsets of 0..N-1, N the largest n, serves
-    every shape and n.  V(I)^2 and the lift are formed once per point for
-    all shapes, and V(I)^2 times the signed binomials of I once per point and
-    n, when a shape first needs them; the signed binomials of the first
-    k - 1 entries once per n, for all points that share them.  The roots of
-    all shapes are the lanes of one packed integer, which moves by one
-    multiply-add per changed entry and is unpacked once per point.  A shape
-    forms its product of roots (those of each multiplicity multiplied first,
-    then raised to it once) only when none is zero and the lift's power
-    k(n-k) - D at its first n > max(I) is nonzero, raises the lift to that
-    power once per such n, and visits only the points of its own largest n,
-    so a batch is predicted to cost at most its shapes' separate passes,
-    plus the lane arithmetic: a machine word per distinct weight and point.
+    0..n-1, where each tableau weight w gives the Chern root w.t_I, the lift of
+    sigma_1 is the sum of t_I and the tangent weights are t_j - t_i (i in I, j
+    not in I).  I is a fixed point for every n > max(I), so one lex-ordered pass
+    over the subsets of 0..N-1, N the largest n, serves every shape and n.  The
+    lift is formed once per point for all shapes; V(I)^2, and its product with
+    the signed binomials of I once per n, only at a point where some shape has a
+    nonzero term (the binomials of the first k - 1 entries once per n, for all
+    points that share them).  The distinct weights and multiplicities come from
+    tableaux.weight_counts over ``table``, which callers may share (a fresh one
+    by default).  The roots of all shapes are the lanes of one packed integer,
+    which moves by one multiply-add per changed entry and is unpacked once per
+    point.  A shape forms its product of roots (those of each multiplicity
+    multiplied first, then raised to it once) only when none is zero and the
+    lift's power k(n-k) - D at its first n > max(I) is nonzero, raises the lift
+    to that power once per such n, and visits only the points of its own largest
+    n, so a batch is predicted to cost at most its shapes' separate passes, plus
+    the lane arithmetic: a machine word per distinct weight and point.
 
-    The torus weights are t_i = 2i - (N - 1), centred on 0 so that many
-    roots and lifts vanish and their points are skipped.  Any distinct
-    weights give the same integral, and with tangent weights 2(j - i) their
-    product over all j != i is 2^(n-1) (-1)^i i! (n-1-i)!: the sum runs over
-    plain integers, V(I)^2 * prod (-1)^i C(n-1, i) standing in for the
-    inverse tangent Euler class, and ends in one exact division by
-    ((n-1)!)^k * 2^(k(n-k)), which undoes the factor 2 on each of the
-    k(n-k) roots and lifts of a term.  A remainder or a negative value
-    raises InternalCheckError.  Positive exactly when the top Chern class
-    is nonzero (see the module docstring); 0 without work when D > k(n - k).
-    Raises SizeGuard before any work when localization_cost at some
-    (shape, n) exceeds LOCALIZATION_COST_CAP.
+    The torus weights are t_i = i - floor((N - 1)/2), centred on 0 so that
+    many roots and lifts vanish and their points are skipped.  Any distinct
+    weights give the same integral, and with tangent weights j - i their
+    product over all j != i is (-1)^i i! (n-1-i)!: the sum runs over plain
+    integers, V(I)^2 * prod (-1)^i C(n-1, i) standing in for the inverse
+    tangent Euler class, and ends in one exact division by ((n-1)!)^k.  A
+    remainder or a negative value raises InternalCheckError.  Positive
+    exactly when the top Chern class is nonzero (see the module docstring);
+    0 without work when D > k(n - k).  Raises SizeGuard before any work when
+    localization_cost at some (shape, n) exceeds LOCALIZATION_COST_CAP.
     """
     if k < 1:
         raise InvalidRange(f"k must be positive, got {k}")
@@ -191,7 +190,7 @@ def localization_integrals(
         if work:
             batch.append((shape, degree, work))
     largest = max((work[-1] for *_, work in batch), default=0)
-    t = [2 * i - (largest - 1) for i in range(largest)]
+    t = [i - (largest - 1) // 2 for i in range(largest)]
     needed = {n for *_, work in batch for n in work}
     signed = {n: [(-1) ** i * comb(n - 1, i) for i in range(n)] for n in needed}
     # columns[s]: coordinate s of every shape's distinct weights, one lane
@@ -199,8 +198,9 @@ def localization_integrals(
     # products of all shapes at once.  Per shape: its lanes a..b-1 and groups,
     # the runs (x, y, m) of its lanes that share the multiplicity m
     sums, columns = [], [[] for _ in range(k)]
+    table = {} if table is None else table
     for shape, degree, work in batch:
-        counted = Counter(weight_vectors(shape, k)).items()
+        counted = weight_counts(shape, k, table).items()
         weights, mults = zip(*sorted(counted, key=itemgetter(1)))
         a = len(columns[0])
         for column, coordinates in zip(columns, zip(*weights)):
@@ -235,15 +235,15 @@ def localization_integrals(
                     partial + packed[s] * t[i],
                 )
         vandermonde, lift, partial = shared[last]
-        vandermonde *= prod(map(top.__sub__, point[:-1])) ** 2
         lift += t[top]
         # unpacked: adding the offset makes every lane nonnegative, so none
         # borrows from the next, and flipping each lane's top bit then leaves
         # its two's complement
         partial = (partial + tails[top]) ^ offset
         dots = array(typecode, partial.to_bytes(size, byteorder))
-        # per n, V^2 times the signed binomials of the whole point
-        factors = {}
+        # per n, V^2 times the signed binomials of the whole point; V^2 is
+        # completed by the last entry only at a point with a nonzero term
+        factors, whole = {}, None
         for a, b, groups, degree, work, totals in sums:
             if top >= work[-1]:
                 continue
@@ -261,24 +261,25 @@ def localization_integrals(
                     product = prod(prod(roots[x:y]) ** m for x, y, m in groups)
                 factor = factors.get(n)
                 if factor is None:
+                    if whole is None:
+                        whole = vandermonde * prod(map(top.__sub__, point[:-1])) ** 2
                     head = heads.get(n)
                     if head is None:
                         head = heads[n] = prod(map(signed[n].__getitem__, point[:-1]))
-                    factor = factors[n] = head * signed[n][top] * vandermonde
+                    factor = factors[n] = head * signed[n][top] * whole
                 totals[j] += power * product * factor
         start = last
         while start and point[start] == largest - k + start:
             start -= 1
     for (shape, _, work), (*_, totals) in zip(batch, sums):
         for n, total in zip(work, totals):
-            top = k * (n - k)
-            if (k * (k - 1) // 2 + top) % 2:
+            if (k * (k - 1) // 2 + k * (n - k)) % 2:
                 total = -total
-            value, remainder = divmod(total, factorial(n - 1) ** k << top)
+            value, remainder = divmod(total, factorial(n - 1) ** k)
             if remainder:
                 raise InternalNonIntegral(
                     f"localization sum for {shape.as_text()} on Gr({k},{n}) is not"
-                    f" divisible by ((n-1)!)^k * 2^(k(n-k))"
+                    f" divisible by ((n-1)!)^k"
                 )
             if value < 0:
                 raise InternalCheckError(
@@ -290,43 +291,45 @@ def localization_integrals(
 
 
 def flip_points(
-    degrees: Mapping[Partition, int], k: int, max_n: int
-) -> dict[Partition, int]:
-    """{shape: the first n <= max_n at which the top Chern class on Gr(k, n) is
-    nonzero, or max_n + 1 when there is none} for each shape of ``degrees``,
-    a map from shape to its class degree D at k.
+    degrees: Mapping[tuple[Partition, int], int], max_n: int
+) -> dict[tuple[Partition, int], int]:
+    """{(shape, k): the first n <= max_n at which the top Chern class on
+    Gr(k, n) is nonzero, or max_n + 1 when there is none} for each pair of
+    ``degrees``, a map from (shape, k) to its class degree D.
 
     Isotropy is monotone in n (the forms on C^n with an isotropic k-plane
     are closed, so when the generic one has such a plane every one does,
     and every form on C^(n+1) restricts to one of them on a hyperplane), so
-    each shape reads zero below one flip point and nonzero from it on.
+    each pair reads zero below one flip point and nonzero from it on.
     Below n0 = k + ceil(D/k) the class degree exceeds dim Gr(k, n) and the
-    class is zero without work, so a shape starts at max(k + 1, n0).  Each
-    round makes one localization_integrals call that asks every shape still
-    pending for one n, and a shape leaves at its first positive value.  A
-    candidate n whose localization_cost is over LOCALIZATION_COST_CAP is
-    answered by top_chern_nonzero instead.
+    class is zero without work, so a pair starts at max(k + 1, n0).  Each
+    round makes one localization_integrals call per k that asks every pair
+    still pending there for one n, and a pair leaves at its first positive
+    value.  All calls share one weight table.  A candidate n whose
+    localization_cost is over LOCALIZATION_COST_CAP is answered by
+    top_chern_nonzero instead.
     """
     flips = {
-        shape: min(max(k + 1, k - (-degree // k)), max_n + 1)
-        for shape, degree in degrees.items()
+        (shape, k): min(max(k + 1, k - (-degree // k)), max_n + 1)
+        for (shape, k), degree in degrees.items()
     }
-    pending = [shape for shape in degrees if flips[shape] <= max_n]
+    pending, table = [pair for pair in degrees if flips[pair] <= max_n], {}
     while pending:
         asked, nonzero = {}, {}
-        for shape in pending:
-            n = flips[shape]
-            if localization_cost(k, n, degrees[shape]) <= LOCALIZATION_COST_CAP:
-                asked[shape] = [n]
+        for pair in pending:
+            (shape, k), n = pair, flips[pair]
+            if localization_cost(k, n, degrees[pair]) <= LOCALIZATION_COST_CAP:
+                asked.setdefault(k, {})[shape] = [n]
             else:
-                nonzero[shape] = top_chern_nonzero(shape, k, n).nonzero
-        values = localization_integrals(asked, k)
-        for shape, [n] in asked.items():
-            nonzero[shape] = values[shape][n] > 0
-        for shape in pending:
-            if not nonzero[shape]:
-                flips[shape] += 1
+                nonzero[pair] = top_chern_nonzero(shape, k, n).nonzero
+        for k, runs in asked.items():
+            values = localization_integrals(runs, k, table)
+            for shape, [n] in runs.items():
+                nonzero[shape, k] = values[shape][n] > 0
+        for pair in pending:
+            if not nonzero[pair]:
+                flips[pair] += 1
         pending = [
-            shape for shape in pending if not nonzero[shape] and flips[shape] <= max_n
+            pair for pair in pending if not nonzero[pair] and flips[pair] <= max_n
         ]
     return flips

@@ -9,7 +9,7 @@ two degree-2 shapes, alternating (n-2)-forms with n even, and alternating
 3-forms on C^7.  The one uncovered corner (k = 2 with a two-row,
 two-column shape) is delegated to the top-Chern-class oracle.  ``run_sweep``
 compares the rules with that class over a grid of small instances, at the
-flip points that ``chern.flip_points`` finds.
+flip points that ``chern.flip_points`` finds, reading the corner from them too.
 
 The degree-2 shapes flip at different points.  A generic symmetric form
 (shape (2,)) is nondegenerate, so its isotropic subspaces have dimension
@@ -23,7 +23,7 @@ larger.  It is k-isotropic iff n >= 2k-1.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import chern
 from .errors import (
@@ -141,93 +141,96 @@ def decide(shape: Partition, k: int, n: int) -> Verdict:
         raise EmptyPartition("the empty symmetry type carries no decision")
     if k < 1 or k > n:
         raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    return _route(shape, k, lambda n: chern.top_chern_nonzero(shape, k, n).nonzero)(n)
+
+
+def _route(
+    shape: Partition, k: int, oracle: Callable[[int], bool]
+) -> Callable[[int], Verdict]:
+    """decide's rule for a nonempty shape at k, as a map from n >= k to its
+    Verdict; oracle(n), whether the class on Gr(k, n) is nonzero, answers k = 2."""
     rows = len(shape)
 
     if rows > k:
-        return Verdict(
+        return lambda n: Verdict(
             True, RULE_TRIVIAL, None,
             f"shape has {rows} rows > k={k}: the module over any k-plane is zero,"
             " so every form restricts to zero",
         )
 
     if shape == (1,):
-        t = k + 1
-        return Verdict(
-            n >= t, RULE_DEGREE_1, t,
+        t, rule = k + 1, RULE_DEGREE_1
+        detail = (
             f"a generic linear functional has a {k}-dimensional zero subspace"
-            f" iff n >= {t}",
+            f" iff n >= {t}"
         )
-
-    if shape == (2,):
-        t = 2 * k
-        return Verdict(
-            n >= t, RULE_EXCEPTION_DEGREE_2, t,
-            f"degree-2 forms are isotropic iff n >= 2k = {t}",
-        )
-
-    if shape == (1, 1):
-        t = 2 * k - 1
-        return Verdict(
-            n >= t, RULE_EXCEPTION_SKEW_DEGREE_2, t,
-            f"alternating 2-forms are isotropic iff n >= 2k-1 = {t}",
-        )
-
-    if shape[0] == 1:
+    elif shape == (2,):
+        t, rule = 2 * k, RULE_EXCEPTION_DEGREE_2
+        detail = f"degree-2 forms are isotropic iff n >= 2k = {t}"
+    elif shape == (1, 1):
+        t, rule = 2 * k - 1, RULE_EXCEPTION_SKEW_DEGREE_2
+        detail = f"alternating 2-forms are isotropic iff n >= 2k-1 = {t}"
+    elif shape[0] == 1:
         d = rows  # single column of height d >= 3
-        if d == n - 2 and n % 2 == 0:
-            return Verdict(
-                k <= n - 2, RULE_EXCEPTION_SKEW_N_MINUS_2, None,
-                f"alternating (n-2)-forms with n={n} even are isotropic"
-                f" iff k <= {n - 2}",
-            )
-        if d == 3 and n == 7:
-            return Verdict(
-                k <= 4, RULE_EXCEPTION_SKEW_3_N7, None,
-                "alternating 3-forms on C^7 are isotropic iff k <= 4",
-            )
         t = k + _ceil_div(comb(k, d), k)
-        return Verdict(
-            n >= t, RULE_TEVELEV_SKEW, t,
+        detail = (
             f"alternating {d}-forms are isotropic iff n >= C({k},{d})/{k} + {k};"
-            f" minimal n = {t}",
+            f" minimal n = {t}"
         )
 
-    if rows == 1:
+        def single_column(n: int) -> Verdict:
+            if d == n - 2 and n % 2 == 0:
+                return Verdict(
+                    k <= n - 2, RULE_EXCEPTION_SKEW_N_MINUS_2, None,
+                    f"alternating (n-2)-forms with n={n} even are isotropic"
+                    f" iff k <= {n - 2}",
+                )
+            if d == 3 and n == 7:
+                return Verdict(
+                    k <= 4, RULE_EXCEPTION_SKEW_3_N7, None,
+                    "alternating 3-forms on C^7 are isotropic iff k <= 4",
+                )
+            return Verdict(n >= t, RULE_TEVELEV_SKEW, t, detail)
+
+        return single_column
+    elif rows == 1:
         d = shape[0]  # single row of length d >= 3
-        t = k + _ceil_div(comb(d + k - 1, d), k)
-        return Verdict(
-            n >= t, RULE_TEVELEV_SYMMETRIC, t,
+        t, rule = k + _ceil_div(comb(d + k - 1, d), k), RULE_TEVELEV_SYMMETRIC
+        detail = (
             f"symmetric {d}-forms are isotropic iff n >= C({d + k - 1},{d})/{k}"
-            f" + {k}; minimal n = {t}",
+            f" + {k}; minimal n = {t}"
         )
-
-    if k >= 3:
+    elif k >= 3:
         dim = schur_ones_hook_content(shape, k)
-        t = k + _ceil_div(dim, k)  # threshold_n, without a second hook-content
-        return Verdict(
-            n >= t, RULE_MAIN, t,
-            f"isotropic iff n >= dim/k + k = {dim}/{k} + {k}; minimal n = {t}",
-        )
+        t, rule = k + _ceil_div(dim, k), RULE_MAIN  # threshold_n, one hook-content
+        detail = f"isotropic iff n >= dim/k + k = {dim}/{k} + {k}; minimal n = {t}"
+    else:
+        # k == 2 with a two-row, two-column shape: no closed-form rule is
+        # stated, so the oracle answers directly.
+        dim = schur_ones_hook_content(shape, k)
+        if dim > SWEEP_DIM_CAP:
+            raise OutOfTheoremScope(
+                f"k={k} with shape {shape.as_text()} is outside the closed-form rules"
+                f" and its dimension {dim} exceeds the oracle cap {SWEEP_DIM_CAP}"
+            )
 
-    # k == 2 with a two-row, two-column shape: no closed-form rule is stated,
-    # so the oracle answers directly.
-    dim = schur_ones_hook_content(shape, k)
-    if dim > SWEEP_DIM_CAP:
-        raise OutOfTheoremScope(
-            f"k={k} with shape {shape.as_text()} is outside the closed-form rules"
-            f" and its dimension {dim} exceeds the oracle cap {SWEEP_DIM_CAP}"
-        )
-    try:
-        oracle = chern.top_chern_nonzero(shape, k, n)
-    except (SizeGuard, DegreeGuard) as exc:
-        raise OutOfTheoremScope(
-            f"oracle fallback for k={k}, shape {shape.as_text()} exceeded caps: {exc}"
-        ) from exc
-    return Verdict(
-        oracle.nonzero, RULE_ORACLE_FALLBACK, None,
-        f"outside the closed-form rules (k=2, two-row shape); the top Chern"
-        f" class on Gr({k},{n}) is {'nonzero' if oracle.nonzero else 'zero'}",
-    )
+        def fallback(n: int) -> Verdict:
+            try:
+                nonzero = oracle(n)
+            except (SizeGuard, DegreeGuard) as exc:
+                raise OutOfTheoremScope(
+                    f"oracle fallback for k={k}, shape {shape.as_text()} exceeded"
+                    f" caps: {exc}"
+                ) from exc
+            return Verdict(
+                nonzero, RULE_ORACLE_FALLBACK, None,
+                f"outside the closed-form rules (k=2, two-row shape); the top Chern"
+                f" class on Gr({k},{n}) is {'nonzero' if nonzero else 'zero'}",
+            )
+
+        return fallback
+
+    return lambda n: Verdict(n >= t, rule, t, detail)
 
 
 def tevelev_inequalities(shape: Partition, k: int, n: int) -> InequalityReport:
@@ -421,32 +424,33 @@ def run_sweep(
     rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
     wherever k <= k_cap and the class degree is at most dim_cap.
 
-    The oracle verdict is whether n has reached the (shape, k) flip point
-    that chern.flip_points finds, one call per k; it agrees with
-    top_chern_nonzero at every n.  Order is deterministic: shapes by size
-    then lex-decreasing, then k, then n.
+    Each (shape, k) is routed to decide's rule once for its whole run of n.
+    The oracle verdict, and the k = 2 fallback's, is whether n has reached
+    the (shape, k) flip point that one chern.flip_points call finds; it agrees
+    with top_chern_nonzero at every n.  Order is deterministic: shapes by
+    size then lex-decreasing, then k, then n.
     """
     shapes = [shape for shape in partitions_up_to(max_size) if shape]
     oracle_k = min(max_k, k_cap) if with_oracle else 0
-    flips = {}
-    for k in range(1, oracle_k + 1):
-        degrees = {}
-        for shape in shapes:
-            if len(shape) <= k:
-                degree = schur_ones_hook_content(shape, k)
-                if degree <= dim_cap:
-                    degrees[shape] = degree
-        for shape, flip in chern.flip_points(degrees, k, max_n).items():
-            flips[shape, k] = flip
-    cases = []
+    routes, degrees = [], {}
     for shape in shapes:
-        for k in range(len(shape), max_k + 1):
-            flip = flips.get((shape, k))
-            for n in range(k + 1, max_n + 1):
-                verdict = decide(shape, k, n)
-                oracle = None if flip is None else n >= flip
-                # a Verdict starts with isotropic, rule, threshold_n
-                cases.append(AgreementCase(shape, k, n, *verdict[:3], oracle))
+        for k in range(len(shape), min(max_k, max_n - 1) + 1):
+            pair = shape, k
+            route = _route(shape, k, lambda n, pair=pair: n >= flips[pair])
+            # the oracle-fallback pairs of _route need their flips, shown or not
+            fallback = k == 2 and len(shape) == 2 and shape[0] >= 2
+            degree = schur_ones_hook_content(shape, k) if k <= oracle_k or fallback else 0
+            shown = k <= oracle_k and degree <= dim_cap
+            if shown or fallback:
+                degrees[pair] = degree
+            routes.append((shape, k, route, shown))
+    flips = chern.flip_points(degrees, max_n)  # what each route's oracle reads
+    cases = []
+    for shape, k, route, shown in routes:
+        for n in range(k + 1, max_n + 1):
+            oracle = n >= flips[shape, k] if shown else None
+            # a Verdict starts with isotropic, rule, threshold_n
+            cases.append(AgreementCase(shape, k, n, *route(n)[:3], oracle))
     return cases
 
 

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from schur_isotropy import chern
+from schur_isotropy import chern, tableaux
 from schur_isotropy.chern import localization_integrals, top_chern_nonzero
 from schur_isotropy.errors import (
     DegreeGuard,
@@ -10,7 +10,12 @@ from schur_isotropy.errors import (
     SizeGuard,
     ZeroBundle,
 )
-from schur_isotropy.isotropy import RULE_ORACLE_FALLBACK, AgreementCase, run_sweep
+from schur_isotropy.isotropy import (
+    RULE_ORACLE_FALLBACK,
+    AgreementCase,
+    decide,
+    run_sweep,
+)
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.sympoly import product_of_linear_forms, schur_expand
@@ -351,13 +356,41 @@ def test_wide_roots_take_wider_lanes():
 def test_the_oracle_fallback_agrees_with_the_sweep_column():
     # at k = 2 with a two-row shape decide takes its verdict from the
     # expansion and the sweep column comes from the localization sum;
-    # criterion 6 leaves these cases out, so they are pinned here
+    # criterion 6 leaves these cases out, so they are pinned here.  The
+    # sweep reads both from the same flip, so each case is also held
+    # against a direct decide call, which runs the expansion
     fallback = [
         case for case in run_sweep(5, 5, 9, with_oracle=True)
         if case.rule == RULE_ORACLE_FALLBACK
     ]
     assert len(fallback) == 35
     assert all(case.agree is True for case in fallback)
+    for case in fallback:
+        assert decide(case.shape, 2, case.n)[:3] == (
+            case.isotropic, case.rule, case.threshold_n
+        ), case
+
+
+def test_the_sweep_neither_expands_nor_walks_below_the_cost_cap(monkeypatch):
+    # the sweep's oracle column and its k = 2 fallback both come from the
+    # localization sum over the weight table
+    windows = [
+        (size, k, n) for size in (4, 5) for k in (4, 5) for n in (8, 9, 10)
+        if (size, k, n) != (5, 5, 10)
+    ]
+    expected = {
+        (window, oracle): run_sweep(*window, with_oracle=oracle)
+        for window in windows for oracle in (False, True)
+    }
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep expanded or walked fillings")
+
+    monkeypatch.setattr(chern, "top_chern_nonzero", refused)
+    monkeypatch.setattr(chern, "weight_vectors", refused)
+    monkeypatch.setattr(tableaux, "weight_vectors", refused)
+    for (window, oracle), cases in expected.items():
+        assert run_sweep(*window, with_oracle=oracle) == cases, (window, oracle)
 
 
 def test_a_long_row_reaches_the_oracle():

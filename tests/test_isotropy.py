@@ -24,6 +24,7 @@ from schur_isotropy.isotropy import (
     RULE_TRIVIAL,
     decide,
     min_isotropic_n,
+    run_sweep,
     tevelev_inequalities,
     threshold_n,
     verify_proof_chain,
@@ -336,3 +337,35 @@ def test_main_rule_reads_one_hook_content():
                 ), (lam, k, n)
                 applied += 1
     assert applied > 1000
+
+
+def test_one_routing_per_pair_gives_the_verdicts_of_decide():
+    # run_sweep routes each (shape, k) once for its whole run of n; the
+    # single-column rules that change with n must still come out per n
+    for oracle in (False, True):
+        cases = run_sweep(6, 6, 12, with_oracle=oracle)
+        assert len(cases) == 992
+        for case in cases:
+            assert decide(case.shape, case.k, case.n)[:3] == (
+                case.isotropic, case.rule, case.threshold_n
+            ), case
+        rules = {(tuple(c.shape), c.n): c.rule for c in cases}
+        assert rules[(1, 1, 1, 1), 6] == RULE_EXCEPTION_SKEW_N_MINUS_2
+        assert rules[(1, 1, 1), 7] == RULE_EXCEPTION_SKEW_3_N7
+        assert rules[(1, 1, 1), 8] == RULE_TEVELEV_SKEW
+
+
+def test_a_sweep_raises_what_decide_raises(monkeypatch):
+    # the k = 2 fallback refuses a shape over the dimension cap; with the cap
+    # lowered, (3,1) at k = 2 (dimension 3) is the sweep's first such pair
+    monkeypatch.setattr(isotropy, "SWEEP_DIM_CAP", 2)
+    with pytest.raises(OutOfTheoremScope) as direct:
+        decide(Partition((3, 1)), 2, 3)
+    for oracle in (False, True):
+        with pytest.raises(OutOfTheoremScope) as swept:
+            run_sweep(4, 2, 5, with_oracle=oracle)
+        assert str(swept.value) == str(direct.value)
+        # windows with no n above k = 2, or no k = 2, decide only k = 1
+        for window in ((4, 2, 2), (4, 1, 5)):
+            cases = run_sweep(*window, with_oracle=oracle)
+            assert cases and all(case.k == 1 for case in cases), window

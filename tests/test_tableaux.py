@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from schur_isotropy.errors import SizeGuard
 from schur_isotropy.partitions import Partition, partitions_up_to
-from schur_isotropy.tableaux import count_ssyt, weight_vectors
+from schur_isotropy.tableaux import count_ssyt, weight_counts, weight_vectors
 
 from conftest import partitions
 
@@ -176,3 +176,24 @@ def test_a_tall_column_walks_only_its_filling():
     for h in (200, 1200):
         tall = weight_vectors(Partition((2,) + (1,) * (h - 1)), h)
         assert tall == [tuple(1 + (i == arm) for i in range(h)) for arm in range(h)]
+
+
+def test_the_weight_table_counts_every_filling():
+    # the branching rule against the walk, for every shape of size <= 7 (the
+    # empty one and those with more rows than k among them) at k = 0..6; one
+    # table serves all of them, as it does across k in a flip search
+    table, checked = {}, 0
+    for lam in partitions_up_to(7):
+        for k in range(7):
+            expected = Counter(weight_vectors(lam, k))
+            assert weight_counts(lam, k, table) == expected, (lam, k)
+            checked += 1
+    assert checked == 315
+    assert weight_counts(Partition(), 3, {}) == {(0, 0, 0): 1}
+    assert weight_counts(Partition((1, 1, 1)), 2, {}) == {}
+    assert weight_counts(Partition((2, 1)), 3, {}) == Counter(weight_vectors((2, 1), 3))
+    # an alphabet deeper than the recursion limit, and a tall hook's table
+    column = Partition((1,) * 1100)
+    assert weight_counts(column, 1100, {}) == {(1,) * 1100: 1}
+    hook = Partition((2,) + (1,) * 199)
+    assert weight_counts(hook, 200, {}) == Counter(weight_vectors(hook, 200))
