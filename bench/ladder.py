@@ -29,7 +29,7 @@ then five wide ones whose n reaches far past the flips.
 A walk rung is one ``tableaux.weight_vectors`` call on a tall hook with as
 many letters as rows (route ``weights``).  A table rung gives every shape
 up to a size the distinct weights and multiplicities of its fillings at
-every k up to a bound, by ``tableaux.weight_counts`` with one shared table
+every k up to a bound, by ``chern.weight_counts`` with one shared table
 (route ``table``, timed on this tree only, as a base tree may lack it) and
 by counting ``tableaux.weight_vectors`` (route ``enumeration``); it reports
 ``table_over_enumeration``, the ratio of their medians on this tree.
@@ -104,7 +104,7 @@ if route in ("table", "enumeration"):
     pairs = [(lam, k) for lam in partitions_up_to(size) for k in range(1, top + 1)]
     start = perf_counter()
     if route == "table":
-        from schur_isotropy.tableaux import weight_counts
+        from schur_isotropy.chern import weight_counts
         table = {}
         counts = [weight_counts(lam, k, table) for lam, k in pairs]
     else:

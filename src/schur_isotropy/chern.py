@@ -8,17 +8,18 @@ indexed by tableau weights, starting from the Vandermonde product and
 dropping every monomial with an exponent >= n as it multiplies, then reads
 the Schur coefficients of the shapes inside the k x (n - k) box; every
 other class vanishes on the Grassmannian.  What survives decides the verdict
-and is reported.
+and is reported.  The filling walk (``tableaux``) and the expansion
+(``sympoly``) are imported by its first call that needs them, so neither the
+package import nor the sweep loads them.
 
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
 torus-fixed points (Atiyah and Bott, Topology 1984), from each shape's
-tableaux.weight_counts; one pass over the fixed points of the largest n
-serves every shape and n of a call.  The
-bundle is globally generated, so the class is a nonnegative sum of Schubert
-classes (Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m meets each
-of them positively: the number is positive exactly when the class is
-nonzero.
+weight_counts; one pass over the fixed points of the largest n serves every
+shape and n of a call.  The bundle is globally generated, so the class is a
+nonnegative sum of Schubert classes (Fulton and Lazarsfeld, Ann. Math. 1983)
+and sigma_1^m meets each of them positively: the number is positive exactly
+when the class is nonzero.
 
 ``flip_points`` finds, per (shape, k), the first n at which the class is
 nonzero, from the sign of the localization integral, or from
@@ -44,10 +45,12 @@ from .errors import (
     SizeGuard,
     ZeroBundle,
 )
-from .partitions import Partition
+from .partitions import Partition, horizontal_strip_predecessors
 from .schur import schur_ones_hook_content
-from .sympoly import DEFAULT_TERM_CAP, box_schur_expand
-from .tableaux import DEFAULT_ENUMERATION_CAP, weight_counts, weight_vectors
+
+# Caps of the expansion route: fillings walked, and terms of any product.
+DEFAULT_ENUMERATION_CAP = 1_000_000
+DEFAULT_TERM_CAP = 5_000_000
 
 SHORTCUT_NONE = "none"
 SHORTCUT_DEGREE = "degree-exceeds-top"
@@ -101,6 +104,9 @@ def top_chern_nonzero(
         return ChernVerdict(False, degree, (), SHORTCUT_DEGREE)
     if not shape:
         return ChernVerdict(False, degree, (), SHORTCUT_EMPTY)
+    from .sympoly import box_schur_expand
+    from .tableaux import weight_vectors
+
     weights = weight_vectors(shape, k, max_tableaux)
     surviving = tuple(box_schur_expand(weights, k, n, max_terms).items())
     return ChernVerdict(bool(surviving), degree, surviving, SHORTCUT_NONE)
@@ -129,6 +135,39 @@ def _pack(values: Iterable[int], offset: int, typecode: str) -> int:
     return int.from_bytes(unsigned.tobytes(), byteorder) - offset
 
 
+def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, int]:
+    """{weight: the number of fillings with it}, the multiset of
+    tableaux.weight_vectors, by the branching rule: W(shape, m) is the union
+    over the mu with shape/mu a horizontal strip (the entries m) of
+    W(mu, m - 1) times |shape| - |mu|.  The shapes each alphabet needs are
+    listed from max_entry down, then built up one alphabet at a time, in the
+    memory of two however large max_entry is.  ``table`` keeps each
+    (shape, max_entry) asked for and answers it again.
+    """
+    shape = Partition(shape)
+    levels, m = [{shape: None}], max_entry  # per alphabet, shapes and strips
+    while m and levels[-1]:
+        below = {}
+        for lam in levels[-1]:
+            if lam and (lam, m) not in table and len(lam) <= m:
+                levels[-1][lam] = strips = horizontal_strip_predecessors(lam)
+                below.update(dict.fromkeys(strips))
+        levels.append(below)
+        m -= 1
+    built = {}
+    for m, level in zip(range(m, max_entry + 1), reversed(levels)):
+        built, below = {}, built
+        for lam, strips in level.items():
+            found = built[lam] = table.get((lam, m), {} if lam else {(0,) * m: 1})
+            for mu in strips or ():
+                last = (lam.size - mu.size,)
+                for weight, count in below[mu].items():
+                    weight += last
+                    found[weight] = found.get(weight, 0) + count
+    table[shape, max_entry] = built[shape]
+    return built[shape]
+
+
 def localization_integrals(
     runs: Mapping[Partition, Iterable[int]], k: int, table: dict | None = None
 ) -> dict[Partition, dict[int, int]]:
@@ -144,7 +183,7 @@ def localization_integrals(
     the signed binomials of I once per n, only at a point where some shape has a
     nonzero term (the binomials of the first k - 1 entries once per n, for all
     points that share them).  The distinct weights and multiplicities come from
-    tableaux.weight_counts over ``table``, which callers may share (a fresh one
+    weight_counts over ``table``, which callers may share (a fresh one
     by default).  The roots of all shapes are the lanes of one packed integer,
     which moves by one multiply-add per changed entry and is unpacked once per
     point.  A shape forms its product of roots (those of each multiplicity

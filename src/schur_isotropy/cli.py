@@ -3,6 +3,8 @@
 Every command can emit either an aligned table (default) or a JSON envelope
 (--json).  Output is byte-deterministic for identical argv: big integers are
 serialized as decimal strings and timing_ms stays 0 unless --timing is given.
+A handler whose layer the package import leaves out (proofs, sympoly)
+imports it in its body, so a command compiles only what it runs.
 """
 
 from __future__ import annotations
@@ -11,21 +13,11 @@ import argparse
 import sys
 import time
 
-from .chern import top_chern_nonzero
+from .chern import DEFAULT_ENUMERATION_CAP, DEFAULT_TERM_CAP, top_chern_nonzero
 from .errors import DomainError, ZeroModule
-from .isotropy import (
-    decide,
-    min_isotropic_n,
-    run_sweep,
-    self_check_suites,
-    tevelev_inequalities,
-    threshold_n,
-    verify_proof_chain,
-)
+from .isotropy import decide, min_isotropic_n, run_sweep, threshold_n
 from .partitions import Partition, parse_partition
-from .schur import dim_schur_module, schur_ones_hook_content
-from .sympoly import DEFAULT_TERM_CAP, expansion_to_json
-from .tableaux import DEFAULT_ENUMERATION_CAP
+from .schur import schur_ones_hook_content
 
 SCHEMA_VERSION = "1"
 
@@ -138,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dim(args):
+    from .proofs import dim_schur_module
+
     dim = str(dim_schur_module(args.lam, args.n).value)
     result = {"lambda": list(args.lam), "n": args.n, "dim": dim}
     human = _format_table(
@@ -188,6 +182,8 @@ def _cmd_min_n(args):
 
 
 def _cmd_oracle(args):
+    from .sympoly import expansion_to_json
+
     verdict = top_chern_nonzero(
         args.lam, args.k, args.n,
         max_tableaux=args.max_tableaux, max_terms=args.max_terms,
@@ -210,6 +206,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_check_lemma36(args):
+    from .proofs import tevelev_inequalities
+
     report = tevelev_inequalities(args.lam, args.k, args.n)
     result = {
         "rows": [
@@ -228,6 +226,8 @@ def _cmd_check_lemma36(args):
 
 
 def _cmd_proof_chain(args):
+    from .proofs import verify_proof_chain
+
     steps = verify_proof_chain(args.lam, args.k, args.n)
     result = {
         "steps": [step._asdict() for step in steps],
@@ -274,6 +274,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_self_check(args):
+    from .proofs import self_check_suites
+
     suites = [
         {"name": name, "cases": len(outcomes), "violations": outcomes.count(False),
          "ok": all(outcomes)}

@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 
 from . import chern
 from .errors import (
-    ChainStepFailed,
     DegreeGuard,
     EmptyPartition,
     InvalidRange,
@@ -35,14 +34,8 @@ from .errors import (
     SizeGuard,
     ZeroModule,
 )
-from .partitions import Partition, partitions_up_to, strip_full_height_columns
-from .schur import (
-    dimension_ratio_gain,
-    schur_ones_hook_content,
-    schur_ones_recurrence,
-    symmetric_power_ratio_gain,
-)
-from .tableaux import count_ssyt
+from .partitions import Partition, partitions_up_to
+from .schur import schur_ones_hook_content
 
 RULE_MAIN = "main-theorem"
 RULE_TEVELEV_SYMMETRIC = "tevelev-symmetric"
@@ -74,26 +67,6 @@ class Verdict(NamedTuple):
     detail: str
 
 
-class InequalityRow(NamedTuple):
-    index: int
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-class InequalityReport(NamedTuple):
-    """The interlacing inequality family dim(C^(k-i)) <= (k-i)(n-k-i)."""
-
-    shape: Partition
-    k: int
-    n: int
-    rows: tuple[InequalityRow, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(row.holds for row in self.rows)
-
-
 class AgreementCase(NamedTuple):
     """One (shape, k, n) instance compared between decision rule and oracle."""
 
@@ -110,12 +83,6 @@ class AgreementCase(NamedTuple):
         if self.oracle_nonzero is None:
             return None
         return self.isotropic == self.oracle_nonzero
-
-
-class ChainStep(NamedTuple):
-    name: str
-    detail: str
-    holds: bool
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:
@@ -233,156 +200,6 @@ def _route(
     return lambda n: Verdict(n >= t, rule, t, detail)
 
 
-def tevelev_inequalities(shape: Partition, k: int, n: int) -> InequalityReport:
-    """Evaluate dim(C^(k-i)) <= (k-i)(n-k-i) for i = 0..min(k, n-k)."""
-    shape = Partition(shape)
-    if k < 1 or k > n:
-        raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    rows = []
-    for i in range(min(k, n - k) + 1):
-        lhs = schur_ones_hook_content(shape, k - i)
-        rhs = (k - i) * (n - k - i)
-        rows.append(InequalityRow(i, lhs, rhs, lhs <= rhs))
-    return InequalityReport(shape, k, n, tuple(rows))
-
-
-def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...]:
-    """Replay the inequality chain certifying the threshold criterion.
-
-    Starting from the hypothesis n >= dim/k + k, steps the dimension-ratio
-    gain down one alphabet size at a time to rows(shape) + 1, then closes
-    the final alphabet by the terminal case split (rectangle; shapes whose
-    column-stripped remainder is (1), (2), (1,1); general remainder), and
-    finally checks the full interlacing inequality family.  Every inequality
-    is evaluated in exact arithmetic; the first failure raises
-    ChainStepFailed naming the step.
-    """
-    from fractions import Fraction
-
-    shape = Partition(shape)
-    if not (k >= 3 and 2 <= len(shape) <= k and shape[0] >= 2):
-        raise OutOfTheoremScope(
-            f"chain replay needs k >= 3 and a shape with 2..k rows and at"
-            f" least 2 columns; got shape {shape.as_text()}, k={k}"
-        )
-    if n < k:
-        raise InvalidRange(f"need n >= k, got k={k}, n={n}")
-    rows = len(shape)
-    dim_at = {j: schur_ones_hook_content(shape, j) for j in range(rows, k + 1)}
-    steps: list[ChainStep] = []
-
-    def check(name: str, detail: str, holds: bool) -> None:
-        if not holds:
-            raise ChainStepFailed(f"step {name} violated: {detail}")
-        steps.append(ChainStep(name, detail, True))
-
-    check(
-        "hypothesis",
-        f"n = {n} >= dim/k + k = {dim_at[k]}/{k} + {k}",
-        Fraction(n) >= Fraction(dim_at[k], k) + k,
-    )
-
-    for j in range(k, rows + 1, -1):
-        gain = Fraction(dim_at[j], j) - Fraction(dim_at[j - 1], j - 1)
-        check(
-            f"descent-{j}-to-{j - 1}",
-            f"dim ratio gain from alphabet {j - 1} to {j} is {gain} >= 1",
-            gain >= 1,
-        )
-        i = k - (j - 1)
-        check(
-            f"interlace-row-{i}",
-            f"n = {n} >= dim(1^{j - 1})/{j - 1} + {k + i}"
-            f" = {dim_at[j - 1]}/{j - 1} + {k + i}",
-            Fraction(n) >= Fraction(dim_at[j - 1], j - 1) + k + i,
-        )
-
-    if rows < k:
-        i = k - rows
-        rhs = rows * (n - k - i)
-        if shape.is_rectangle():
-            check(
-                "rectangle-base",
-                f"a rectangle has a single filling at alphabet {rows}:"
-                f" dim = {dim_at[rows]} == 1",
-                dim_at[rows] == 1,
-            )
-        else:
-            stripped = strip_full_height_columns(shape)
-            stripped_dim = schur_ones_hook_content(stripped, rows)
-            check(
-                "strip-columns",
-                f"full-height columns are forced at alphabet {rows}:"
-                f" dim {dim_at[rows]} == stripped dim {stripped_dim}",
-                dim_at[rows] == stripped_dim,
-            )
-            if stripped == (1,):
-                check(
-                    "stripped-single-box",
-                    f"dim at alphabet {rows} equals {rows}",
-                    dim_at[rows] == rows,
-                )
-            elif stripped == (2,):
-                check(
-                    "stripped-degree-2-bound",
-                    f"hypothesis forces n = {n} >= (3k+1)/2 = {Fraction(3 * k + 1, 2)}",
-                    Fraction(n) >= Fraction(3 * k + 1, 2),
-                )
-                check(
-                    "stripped-degree-2-identity",
-                    f"dim/{rows} + {rows} == (3*{rows}+1)/2",
-                    Fraction(dim_at[rows], rows) + rows == Fraction(3 * rows + 1, 2),
-                )
-            elif stripped == (1, 1):
-                check(
-                    "stripped-degree-2-bound",
-                    f"hypothesis forces n = {n} >= (3k-1)/2 = {Fraction(3 * k - 1, 2)}",
-                    Fraction(n) >= Fraction(3 * k - 1, 2),
-                )
-                check(
-                    "stripped-degree-2-identity",
-                    f"dim/{rows} + {rows} == (3*{rows}-1)/2",
-                    Fraction(dim_at[rows], rows) + rows == Fraction(3 * rows - 1, 2),
-                )
-            else:
-                stripped_dim_up = schur_ones_hook_content(stripped, rows + 1)
-                gain = Fraction(stripped_dim_up, rows + 1) - Fraction(stripped_dim, rows)
-                check(
-                    "stripped-ratio-gain",
-                    f"stripped shape {stripped.as_text()} gains {gain} >= 1"
-                    f" from alphabet {rows} to {rows + 1}",
-                    gain >= 1,
-                )
-                check(
-                    "restore-columns",
-                    f"dim(1^{rows + 1}) = {dim_at[rows + 1]} >="
-                    f" stripped dim(1^{rows + 1}) = {stripped_dim_up}",
-                    dim_at[rows + 1] >= stripped_dim_up,
-                )
-                full_gain = Fraction(dim_at[rows + 1], rows + 1) - Fraction(
-                    dim_at[rows], rows
-                )
-                check(
-                    "ratio-gain-at-base",
-                    f"dim ratio gain from alphabet {rows} to {rows + 1}"
-                    f" is {full_gain} >= 1",
-                    full_gain >= 1,
-                )
-        check(
-            f"interlace-row-{i}",
-            f"dim(1^{rows}) = {dim_at[rows]} <= {rows}*({n}-{k}-{i}) = {rhs}",
-            dim_at[rows] <= rhs,
-        )
-
-    report = tevelev_inequalities(shape, k, n)
-    check(
-        "interlacing-family",
-        f"all {len(report.rows)} interlacing rows hold for i = 0..{len(report.rows) - 1}",
-        report.all_hold,
-    )
-    return tuple(steps)
-
-
 def min_isotropic_n(shape: Partition, k: int) -> int:
     """Smallest n >= k for which decide() reports isotropy.
 
@@ -452,36 +269,3 @@ def run_sweep(
             # a Verdict starts with isotropic, rule, threshold_n
             cases.append(AgreementCase(shape, k, n, *route(n)[:3], oracle))
     return cases
-
-
-def self_check_suites() -> list[tuple[str, list[bool]]]:
-    """(name, one outcome per case) for each dimension identity and ratio-gain
-    bound that the self-check command reruns over small shapes."""
-    from fractions import Fraction
-
-    shapes = list(partitions_up_to(6))
-    nonempty = [s for s in shapes if s]
-    gain = dimension_ratio_gain
-    return [
-        ("dimension-triple-agreement", [
-            schur_ones_hook_content(s, n) == schur_ones_recurrence(s, n)
-            == count_ssyt(s, n)
-            for s in shapes for n in range(7)
-        ]),
-        ("ratio-nondecreasing", [
-            gain(s, k) >= 0 for s in nonempty for k in range(2, 8)
-        ]),
-        ("ratio-gain-unit-fraction", [
-            gain(s, k) >= Fraction(1, k)
-            for s in nonempty for k in range(2, 8) if 2 <= len(s) <= k - 1
-        ]),
-        ("ratio-gain-one", [
-            gain(s, k) >= 1
-            for s in nonempty if s not in ((1,), (2,), (1, 1))
-            for k in range(3, 8) if len(s) <= k - 2
-        ]),
-        ("binomial-ratio-gain-one", [
-            symmetric_power_ratio_gain(d, alpha) >= 1
-            for d in range(3, 9) for alpha in range(2, 9)
-        ]),
-    ]

@@ -6,10 +6,9 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
+from .chern import DEFAULT_TERM_CAP
 from .errors import DegreeGuard, NotHomogeneous, NotSymmetric
 from .partitions import Partition
-
-DEFAULT_TERM_CAP = 5_000_000
 
 
 class SymPoly:

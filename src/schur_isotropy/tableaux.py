@@ -5,7 +5,8 @@
 weight, the multiset the top-Chern-class oracle needs.  The walk's size cap
 is checked against the hook-content product, which equals the number of
 fillings; ``count_ssyt`` stays an independent count to check it against.
-``weight_counts`` builds the same multiset from smaller shapes, walking none.
+``chern.weight_counts`` builds the same multiset from smaller shapes,
+walking none.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from math import comb
 from operator import add, gt
 from typing import Iterator
 
+from .chern import DEFAULT_ENUMERATION_CAP
 from .errors import SizeGuard
-from .partitions import Partition, horizontal_strip_predecessors
+from .partitions import Partition
 from .schur import schur_ones_hook_content
-
-DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 def count_ssyt(shape: Partition, max_entry: int) -> int:
@@ -150,34 +150,3 @@ def weight_vectors(
         else:
             stack.pop()
     return found
-
-
-def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, int]:
-    """{weight: the number of fillings with it}, the multiset of weight_vectors,
-    by the branching rule: W(shape, m) is the union over the mu with shape/mu
-    a horizontal strip (the entries m) of W(mu, m - 1) times |shape| - |mu|.
-    The shapes each alphabet needs are listed from max_entry down, then built
-    up one alphabet at a time, in the memory of two however large max_entry
-    is.  ``table`` keeps each (shape, max_entry) asked for and answers it again.
-    """
-    levels, m = [{shape: None}], max_entry  # per alphabet, shapes and strips
-    while m and levels[-1]:
-        below = {}
-        for lam in levels[-1]:
-            if lam and (lam, m) not in table and len(lam) <= m:
-                levels[-1][lam] = strips = horizontal_strip_predecessors(lam)
-                below.update(dict.fromkeys(strips))
-        levels.append(below)
-        m -= 1
-    built = {}
-    for m, level in zip(range(m, max_entry + 1), reversed(levels)):
-        built, below = {}, built
-        for lam, strips in level.items():
-            found = built[lam] = table.get((lam, m), {} if lam else {(0,) * m: 1})
-            for mu in strips or ():
-                last = (lam.size - mu.size,)
-                for weight, count in below[mu].items():
-                    weight += last
-                    found[weight] = found.get(weight, 0) + count
-    table[shape, max_entry] = built[shape]
-    return built[shape]

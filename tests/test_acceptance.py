@@ -20,18 +20,18 @@ from schur_isotropy.isotropy import (
     RULE_ORACLE_FALLBACK,
     decide,
     run_sweep,
-    tevelev_inequalities,
 )
 from schur_isotropy.partitions import Partition, partitions_up_to
-from schur_isotropy.schur import (
+from schur_isotropy.proofs import (
     dimension_ratio_gain,
-    hook_shape_dimension,
-    schur_ones_hook_content,
     schur_ones_recurrence,
     symmetric_power_ratio_gain,
-    two_row_rectangle_dimension,
+    tevelev_inequalities,
 )
+from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.tableaux import count_ssyt
+
+from closed_forms import hook_shape_dimension, two_row_rectangle_dimension
 
 SWEEP_ORACLE_K_CAP = 6
 SWEEP_ORACLE_DIM_CAP = 40

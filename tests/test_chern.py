@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from schur_isotropy import chern, tableaux
+from schur_isotropy import chern, sympoly, tableaux
 from schur_isotropy.chern import localization_integrals, top_chern_nonzero
 from schur_isotropy.errors import (
     DegreeGuard,
@@ -387,8 +387,8 @@ def test_the_sweep_neither_expands_nor_walks_below_the_cost_cap(monkeypatch):
         raise AssertionError("the sweep expanded or walked fillings")
 
     monkeypatch.setattr(chern, "top_chern_nonzero", refused)
-    monkeypatch.setattr(chern, "weight_vectors", refused)
     monkeypatch.setattr(tableaux, "weight_vectors", refused)
+    monkeypatch.setattr(sympoly, "box_schur_expand", refused)
     for (window, oracle), cases in expected.items():
         assert run_sweep(*window, with_oracle=oracle) == cases, (window, oracle)
 

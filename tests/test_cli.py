@@ -313,3 +313,21 @@ def test_the_cli_import_leaves_fractions_and_json_out():
         "from schur_isotropy.cli import run; run(['dim', '--lambda', '2,1',"
         " '--n', '3', '--json'])", ["json"],
     ).endswith("['json']")
+
+
+def test_the_package_import_and_the_sweep_leave_the_cold_modules_out():
+    # the verification layer, the filling walk and the expansion load on
+    # first use, so neither the import nor a sweep compiles them
+    cold = [f"schur_isotropy.{name}" for name in ("proofs", "sympoly", "tableaux")]
+    assert _modules_after("import schur_isotropy", cold) == "[]"
+    assert _modules_after(
+        "from schur_isotropy import run_sweep; run_sweep(4, 4, 8, with_oracle=True)",
+        cold,
+    ) == "[]"
+    assert _modules_after(
+        "from schur_isotropy.cli import run; run(['dim', '--lambda', '2,1',"
+        " '--n', '3'])", cold[1:],
+    ).endswith("[]")
+    assert _modules_after(
+        "import schur_isotropy; schur_isotropy.count_ssyt", cold
+    ) == "['schur_isotropy.tableaux']"

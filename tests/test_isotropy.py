@@ -25,11 +25,10 @@ from schur_isotropy.isotropy import (
     decide,
     min_isotropic_n,
     run_sweep,
-    tevelev_inequalities,
     threshold_n,
-    verify_proof_chain,
 )
 from schur_isotropy.partitions import Partition, partitions_up_to
+from schur_isotropy.proofs import tevelev_inequalities, verify_proof_chain
 from schur_isotropy.schur import schur_ones_hook_content
 
 

@@ -5,18 +5,17 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from schur_isotropy.partitions import Partition, partitions_up_to
-from schur_isotropy.schur import (
+from schur_isotropy.proofs import (
     _CROSS_CHECK_LIMIT,
     dim_schur_module,
     dimension_ratio_gain,
-    hook_shape_dimension,
-    schur_ones_hook_content,
     schur_ones_recurrence,
     symmetric_power_ratio_gain,
-    two_row_rectangle_dimension,
 )
+from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.tableaux import count_ssyt
 
+from closed_forms import hook_shape_dimension, two_row_rectangle_dimension
 from conftest import partitions
 
 

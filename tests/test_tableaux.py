@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schur_isotropy.chern import weight_counts
 from schur_isotropy.errors import SizeGuard
 from schur_isotropy.partitions import Partition, partitions_up_to
-from schur_isotropy.tableaux import count_ssyt, weight_counts, weight_vectors
+from schur_isotropy.tableaux import count_ssyt, weight_vectors
 
 from conftest import partitions
 
@@ -192,6 +193,8 @@ def test_the_weight_table_counts_every_filling():
     assert weight_counts(Partition(), 3, {}) == {(0, 0, 0): 1}
     assert weight_counts(Partition((1, 1, 1)), 2, {}) == {}
     assert weight_counts(Partition((2, 1)), 3, {}) == Counter(weight_vectors((2, 1), 3))
+    # a plain tuple is read as the Partition it spells
+    assert weight_counts((1,), 3, {}) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
     # an alphabet deeper than the recursion limit, and a tall hook's table
     column = Partition((1,) * 1100)
     assert weight_counts(column, 1100, {}) == {(1,) * 1100: 1}
