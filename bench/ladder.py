@@ -63,6 +63,8 @@ RUNGS = (
     (((2, 1),), 6, (18,), ()),
     (((2, 1),), 5, tuple(range(6, 14)), ()),
     (((1, 1),), 6, tuple(range(7, 21)), ()),
+    (((1,),), 120, (121,), ()),
+    (((1,),), 200, (201,), ()),
     (5, 5, tuple(range(6, 11)), ("batch",)),
 )
 # the sweep-oracle windows: sizes 4, 5 by k 4, 5 by n 8, 9, 10, less (5, 5, 10);

@@ -15,8 +15,8 @@ package import nor the sweep loads them.
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
 torus-fixed points (Atiyah and Bott, Topology 1984), from each shape's
-weight_counts; one pass over the fixed points of the largest n serves every
-shape and n of a call.  The bundle is globally generated, so the class is a
+weight_counts, by one pass per n that visits only the points whose sigma_1
+lift is not negative.  The bundle is globally generated, so the class is a
 nonnegative sum of Schubert classes (Fulton and Lazarsfeld, Ann. Math. 1983)
 and sigma_1^m meets each of them positively: the number is positive exactly
 when the class is nonzero.
@@ -34,11 +34,12 @@ from __future__ import annotations
 from array import array
 from itertools import combinations
 from math import comb, factorial, prod
-from operator import itemgetter
+from operator import mul
 from sys import byteorder
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
+    DegreeGuard,
     InternalCheckError,
     InternalNonIntegral,
     InvalidRange,
@@ -57,9 +58,9 @@ SHORTCUT_DEGREE = "degree-exceeds-top"
 SHORTCUT_EMPTY = "empty-weights"
 
 # The localization_cost at any one (shape, n) above which localization_integrals
-# refuses to start; a batch is predicted to cost at most its shapes' passes.
-# Measured at the cap on a 2-core x86_64: about 1-2 s for k >= 2, about 7 s
-# at k = 1 (n near 5480), where each point's integers run to n * log2(n) bits.
+# refuses to start.  Measured at the cap on a 2-core x86_64: about 0.3-0.9 s
+# for k >= 2, about 5 s at k = 1 (n near 5480), where each point's integers
+# run to n * log2(n) bits.
 LOCALIZATION_COST_CAP = 30_000_000
 
 
@@ -104,6 +105,13 @@ def top_chern_nonzero(
         return ChernVerdict(False, degree, (), SHORTCUT_DEGREE)
     if not shape:
         return ChernVerdict(False, degree, (), SHORTCUT_EMPTY)
+    # the Vandermonde product alone has k! terms, none cut at n >= k; a walk
+    # over its own cap (degree fillings) raises SizeGuard first
+    if max_terms is not None and factorial(k) > max_terms and degree <= max_tableaux:
+        raise DegreeGuard(
+            f"{factorial(k)} terms at degree {k * (k - 1) // 2} exceeds the cap"
+            f" {max_terms}"
+        )
     from .sympoly import box_schur_expand
     from .tableaux import weight_vectors
 
@@ -117,7 +125,10 @@ def localization_cost(k: int, n: int, degree: int) -> int:
 
     Each of the C(n, k) fixed points makes one pass over the distinct
     weights (at most degree of them) and multiplies its k(n - k) linear
-    factors, which also set the size of its integers.
+    factors, which also set the size of its integers.  It bounds a symmetric
+    pass from above (about half of the points, and at each at most degree
+    roots and |S|(|S| + 1)/2 <= k(n - k) factors of V(S)^2 and signs), and is
+    kept as it is so that no input moves between an answer and SizeGuard.
     """
     return comb(n, k) * (degree + k * (n - k))
 
@@ -174,39 +185,26 @@ def localization_integrals(
     """{shape: {n: the degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on
     Gr(k, n)}} for each shape and n of ``runs``, a map from shape to its n.
 
-    Atiyah-Bott localization: a fixed point of Gr(k, n) is a k-subset I of
-    0..n-1, where each tableau weight w gives the Chern root w.t_I, the lift of
-    sigma_1 is the sum of t_I and the tangent weights are t_j - t_i (i in I, j
-    not in I).  I is a fixed point for every n > max(I), so one lex-ordered pass
-    over the subsets of 0..N-1, N the largest n, serves every shape and n.  The
-    lift is formed once per point for all shapes; V(I)^2, and its product with
-    the signed binomials of I once per n, only at a point where some shape has a
-    nonzero term (the binomials of the first k - 1 entries once per n, for all
-    points that share them).  The distinct weights and multiplicities come from
-    weight_counts over ``table``, which callers may share (a fresh one
-    by default).  The roots of all shapes are the lanes of one packed integer,
-    which moves by one multiply-add per changed entry and is unpacked once per
-    point.  A shape forms its product of roots (those of each multiplicity
-    multiplied first, then raised to it once) only when none is zero and the
-    lift's power k(n-k) - D at its first n > max(I) is nonzero, raises the lift
-    to that power once per such n, and visits only the points of its own largest
-    n, so a batch is predicted to cost at most its shapes' separate passes, plus
-    the lane arithmetic: a machine word per distinct weight and point.
-
-    The torus weights are t_i = i - floor((N - 1)/2), centred on 0 so that
-    many roots and lifts vanish and their points are skipped.  Any distinct
-    weights give the same integral, and with tangent weights j - i their
-    product over all j != i is (-1)^i i! (n-1-i)!: the sum runs over plain
-    integers, V(I)^2 * prod (-1)^i C(n-1, i) standing in for the inverse
-    tangent Euler class, and ends in one exact division by ((n-1)!)^k.  A
-    remainder or a negative value raises InternalCheckError.  Positive
-    exactly when the top Chern class is nonzero (see the module docstring);
-    0 without work when D > k(n - k).  Raises SizeGuard before any work when
+    Atiyah-Bott localization, one pass per n for the shapes that ask for it:
+    a fixed point of Gr(k, n) is a k-subset I of 0..n-1, where each weight w
+    of weight_counts (over ``table``, which callers may share) gives the Chern
+    root w.t_I, the lift of sigma_1 is the sum of t_I and the tangent weights
+    are t_j - t_i (i in I, j not in I).  The roots of a pass's shapes are the
+    lanes of one packed integer.  Any distinct t give the same integral, and
+    t_i = 2i - (n-1) are symmetric: n-1-I negates the roots, lift and tangent
+    weights of I, 2k(n-k) signs, so a pass skips each point with a negative
+    lift and counts one with a positive lift twice.  The inverse Euler class
+    is then, up to a sign fixed by k and n, V(S)^2 * prod_{i in S} (-1)^i
+    C(n-1, i) over ((n-1)!)^|S| * 2^(k(n-k)), S the smaller of I and its
+    complement: the sum is of plain integers, with one exact division.  A
+    remainder or a negative value raises InternalCheckError.  Positive exactly
+    when the top Chern class is nonzero (see the module docstring); 0 without
+    work when D > k(n - k).  Raises SizeGuard before any work when
     localization_cost at some (shape, n) exceeds LOCALIZATION_COST_CAP.
     """
     if k < 1:
         raise InvalidRange(f"k must be positive, got {k}")
-    values, batch = {}, []
+    values, passes = {}, {}
     for shape, ns in runs.items():
         shape, ns = Partition(shape), sorted(set(ns))
         if ns and ns[0] < k:
@@ -217,8 +215,7 @@ def localization_integrals(
             )
         degree = schur_ones_hook_content(shape, k)
         values[shape] = dict.fromkeys(ns, 0)
-        work = [n for n in ns if shape and degree <= k * (n - k)]
-        for n in work:
+        for n in (n for n in ns if shape and degree <= k * (n - k)):
             cost = localization_cost(k, n, degree)
             if cost > LOCALIZATION_COST_CAP:
                 raise SizeGuard(
@@ -226,99 +223,54 @@ def localization_integrals(
                     f" ({comb(n, k)} fixed points times {degree} + {k * (n - k)}),"
                     f" over the cap {LOCALIZATION_COST_CAP}"
                 )
-        if work:
-            batch.append((shape, degree, work))
-    largest = max((work[-1] for *_, work in batch), default=0)
-    t = [i - (largest - 1) // 2 for i in range(largest)]
-    needed = {n for *_, work in batch for n in work}
-    signed = {n: [(-1) ** i * comb(n - 1, i) for i in range(n)] for n in needed}
-    # columns[s]: coordinate s of every shape's distinct weights, one lane
-    # each, packed below so that one multiply-add by t_i moves the dot
-    # products of all shapes at once.  Per shape: its lanes a..b-1 and groups,
-    # the runs (x, y, m) of its lanes that share the multiplicity m
-    sums, columns = [], [[] for _ in range(k)]
+            passes.setdefault(n, []).append((shape, degree))
     table = {} if table is None else table
-    for shape, degree, work in batch:
-        counted = weight_counts(shape, k, table).items()
-        weights, mults = zip(*sorted(counted, key=itemgetter(1)))
-        a = len(columns[0])
-        for column, coordinates in zip(columns, zip(*weights)):
-            column.extend(coordinates)
-        ends = [y for y in range(1, len(mults)) if mults[y] != mults[y - 1]]
-        groups = [(x, y, mults[x]) for x, y in zip([0] + ends, ends + [len(mults)])]
-        sums.append((a, a + len(mults), groups, degree, work, [0] * len(work)))
-    # a root w.t_I, and each partial sum of it, is less than size * N in size
-    bound = max((shape.size for shape, *_ in batch), default=0) * largest
-    typecode = next(c for c in "hiq" if bound < 1 << 8 * array(c).itemsize - 1)
-    width, lanes = 8 * array(typecode).itemsize, len(columns[0])
-    offset = ((1 << width * lanes) - 1) // ((1 << width) - 1) << width - 1
-    packed = [_pack(column, offset, typecode) for column in columns]
-    size = lanes * width // 8  # bytes
-    # shared[s]: V^2, the lift and the packed dot products of the first s
-    # entries; heads: the signed binomials of the first k - 1, per n; tails[i]:
-    # what a last entry i adds, with the offset that unpacking needs
-    last = k - 1
-    shared = [(1, 0, 0)] + [None] * last
-    tails = [packed[last] * x + offset for x in t]
-    start, heads = 0, {}
-    for point in combinations(range(largest), k):
-        top = point[-1]
-        if start < last:
-            heads = {}
-            for s in range(start, last):
-                i = point[s]
-                vandermonde, lift, partial = shared[s]
-                shared[s + 1] = (
-                    vandermonde * prod(map(i.__sub__, point[:s])) ** 2,
-                    lift + t[i],
-                    partial + packed[s] * t[i],
-                )
-        vandermonde, lift, partial = shared[last]
-        lift += t[top]
-        # unpacked: adding the offset makes every lane nonnegative, so none
-        # borrows from the next, and flipping each lane's top bit then leaves
-        # its two's complement
-        partial = (partial + tails[top]) ^ offset
-        dots = array(typecode, partial.to_bytes(size, byteorder))
-        # per n, V^2 times the signed binomials of the whole point; V^2 is
-        # completed by the last entry only at a point with a nonzero term
-        factors, whole = {}, None
-        for a, b, groups, degree, work, totals in sums:
-            if top >= work[-1]:
+    for n, batch in passes.items():
+        # columns[s]: coordinate s of every shape's distinct weights, one lane each;
+        # per shape its lanes a..b-1, their multiplicities and its lift power
+        shapes, columns = [], [[] for _ in range(k)]
+        for shape, degree in batch:
+            weights, mults = zip(*weight_counts(shape, k, table).items())
+            a = len(columns[0])
+            for column, coordinates in zip(columns, zip(*weights)):
+                column.extend(coordinates)
+            shapes.append((a, a + len(mults), mults, k * (n - k) - degree))
+        # a root w.t_I is less than size * n in size
+        bound = max(shape.size for shape, _ in batch) * n
+        typecode = next(c for c in "hiq" if bound < 1 << 8 * array(c).itemsize - 1)
+        width, lanes = 8 * array(typecode).itemsize, len(columns[0])
+        offset = ((1 << width * lanes) - 1) // ((1 << width) - 1) << width - 1
+        packed = [_pack(column, offset, typecode) for column in columns]
+        # t_i = 2i - (n-1): twice the lanes' sums at t_i = i, less (n-1) times their sum
+        totals, shift = [0] * len(batch), offset - (n - 1) * sum(packed)
+        signed = [(-1) ** i * comb(n - 1, i) for i in range(n)]
+        for point in combinations(range(n), k):
+            lift = 2 * sum(point) - k * (n - 1)
+            if lift < 0:
                 continue
-            roots = dots[a:b]
-            if 0 in roots:
-                continue
-            product = None
-            for j, n in enumerate(work):
-                if n <= top:
+            # the offset makes every lane nonnegative, so none borrows from the
+            # next; flipping each lane's top bit then leaves its two's complement
+            partial = (2 * sum(map(mul, packed, point)) + shift) ^ offset
+            dots = array(typecode, partial.to_bytes(lanes * width // 8, byteorder))
+            euler = None
+            for j, (a, b, mults, m) in enumerate(shapes):
+                roots = dots[a:b]
+                if 0 in roots or m and not lift:
                     continue
-                power = lift ** (k * (n - k) - degree)
-                if not power:
-                    break  # the lift is 0, and so is every larger power of it
-                if product is None:
-                    product = prod(prod(roots[x:y]) ** m for x, y, m in groups)
-                factor = factors.get(n)
-                if factor is None:
-                    if whole is None:
-                        whole = vandermonde * prod(map(top.__sub__, point[:-1])) ** 2
-                    head = heads.get(n)
-                    if head is None:
-                        head = heads[n] = prod(map(signed[n].__getitem__, point[:-1]))
-                    factor = factors[n] = head * signed[n][top] * whole
-                totals[j] += power * product * factor
-        start = last
-        while start and point[start] == largest - k + start:
-            start -= 1
-    for (shape, _, work), (*_, totals) in zip(batch, sums):
-        for n, total in zip(work, totals):
-            if (k * (k - 1) // 2 + k * (n - k)) % 2:
-                total = -total
-            value, remainder = divmod(total, factorial(n - 1) ** k)
+                if euler is None:  # doubled when the lift is positive
+                    s = point if 2 * k <= n else set(range(n)).difference(point)
+                    v = prod(y - x for x, y in combinations(s, 2))
+                    euler = v * v * prod(map(signed.__getitem__, s)) << (lift > 0)
+                totals[j] += lift ** m * prod(map(pow, roots, mults)) * euler
+        r = min(k, n - k)  # |S|
+        odd = (r * (r - 1) // 2 + k * (n - k) * (2 * k <= n)) % 2
+        denominator = factorial(n - 1) ** r << k * (n - k)
+        for (shape, _), total in zip(batch, totals):
+            value, remainder = divmod(-total if odd else total, denominator)
             if remainder:
                 raise InternalNonIntegral(
                     f"localization sum for {shape.as_text()} on Gr({k},{n}) is not"
-                    f" divisible by ((n-1)!)^k"
+                    f" divisible by ((n-1)!)^{r} * 2^{k * (n - k)}"
                 )
             if value < 0:
                 raise InternalCheckError(

@@ -183,6 +183,8 @@ def test_localization_integral_shortcuts_and_guards():
     assert integral(Partition((1200,)), 1, 3) == 1200
     # c_1(O(1)) * sigma_1^3 on P^4 is the class of a point
     assert integral(Partition((1,)), 1, 5) == 1
+    # Gr(300, 301) is P^300 again, with S^* of rank 300 and c_300(S^*) its point
+    assert integral(Partition((1,)), 300, 301) == 1
 
 
 def test_a_sweep_at_large_n_passes_the_cost_guard(monkeypatch):
@@ -305,8 +307,8 @@ def test_one_pass_over_n_matches_one_call_per_n():
 def test_a_value_does_not_depend_on_its_batch():
     # one batch per k against one-shape batches, over the grid of size <= 6,
     # k <= 6, dim <= 40, n <= 13: first with every run whole, then with runs
-    # cut short at different largest n, so that shapes leave the shared pass
-    # at different points.  (7,) at n = k only takes the degree shortcut.
+    # cut short at different largest n, so that each pass over one n packs a
+    # different set of shapes.  (7,) at n = k only takes the degree shortcut.
     checked = 0
     for k in range(1, 7):
         grid = [
@@ -333,9 +335,10 @@ def test_a_value_does_not_depend_on_its_batch():
 
 
 def test_wide_roots_take_wider_lanes():
-    # the roots of a batch share one packed integer, in lanes as wide as its
-    # largest root needs.  O(1200) on P^(n-1) has c_1 = 1200 h, so its
-    # integral is 1200 at every n; its roots need more than 16 bits at n = 30
+    # the roots of the shapes of one pass share one packed integer, in lanes
+    # as wide as its largest root needs.  O(1200) on P^(n-1) has c_1 = 1200 h,
+    # so its integral is 1200 at every n; its roots need more than 16 bits at
+    # n = 30
     row = Partition((1200,))
     assert localization_integrals({row: range(2, 31)}, 1) == {
         row: dict.fromkeys(range(2, 31), 1200)
@@ -443,6 +446,17 @@ def test_oracle_agrees_with_threshold_rule_instances():
 def test_term_cap_raises_degree_guard():
     with pytest.raises(DegreeGuard):
         top_chern_nonzero(Partition((5, 2)), 2, 8, max_terms=2)
+
+
+def test_a_vandermonde_product_over_the_term_cap_fails_before_expanding(monkeypatch):
+    # 12! monomials of the Vandermonde product, none dropped by the n = 30 cut,
+    # are over the default cap: the guard needs no multiplication
+    def no_multiplication(*args, **kwargs):
+        raise AssertionError("the expansion multiplied")
+
+    monkeypatch.setattr(sympoly, "_mul_linear", no_multiplication)
+    with pytest.raises(DegreeGuard):
+        top_chern_nonzero(Partition((1,)), 12, 30)
 
 
 def test_term_cap_holds_after_an_uncapped_call():
