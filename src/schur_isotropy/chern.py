@@ -10,7 +10,7 @@ the Schur coefficients of the shapes inside the k x (n - k) box; every
 other class vanishes on the Grassmannian.  What survives decides the verdict
 and is reported.  The filling walk (``tableaux``) and the expansion
 (``sympoly``) are imported by its first call that needs them, so neither the
-package import nor the sweep loads them.
+package import nor any decision loads them.
 
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
@@ -22,11 +22,12 @@ and sigma_1^m meets each of them positively: the number is positive exactly
 when the class is nonzero.
 
 ``flip_points`` finds, per (shape, k), the first n at which the class is
-nonzero, from the sign of the localization integral, or from
-``top_chern_nonzero`` where the sum's predicted cost is over
-LOCALIZATION_COST_CAP; isotropy is monotone in n, so the class is nonzero
-at every larger n.  ``isotropy.run_sweep`` reads its oracle column and its
-k = 2 fallback from one such search, which shares one weight table.
+nonzero, from the sign of the localization integral; isotropy is monotone
+in n, so the class is nonzero at every larger n.  It is the only route to a
+yes/no verdict: ``isotropy.decide`` reads its k = 2 fallback from a search
+for its one pair, and ``isotropy.run_sweep`` reads its oracle column and
+its fallback from one search, which shares one weight table.
+``top_chern_nonzero`` serves the ``oracle`` command's Schur coefficients.
 """
 
 from __future__ import annotations
@@ -297,8 +298,8 @@ def flip_points(
     round makes one localization_integrals call per k that asks every pair
     still pending there for one n, and a pair leaves at its first positive
     value.  All calls share one weight table.  A candidate n whose
-    localization_cost is over LOCALIZATION_COST_CAP is answered by
-    top_chern_nonzero instead.
+    localization_cost is over LOCALIZATION_COST_CAP raises the sum's
+    SizeGuard before its call does any work.
     """
     flips = {
         (shape, k): min(max(k + 1, k - (-degree // k)), max_n + 1)
@@ -307,12 +308,8 @@ def flip_points(
     pending, table = [pair for pair in degrees if flips[pair] <= max_n], {}
     while pending:
         asked, nonzero = {}, {}
-        for pair in pending:
-            (shape, k), n = pair, flips[pair]
-            if localization_cost(k, n, degrees[pair]) <= LOCALIZATION_COST_CAP:
-                asked.setdefault(k, {})[shape] = [n]
-            else:
-                nonzero[pair] = top_chern_nonzero(shape, k, n).nonzero
+        for shape, k in pending:
+            asked.setdefault(k, {})[shape] = [flips[shape, k]]
         for k, runs in asked.items():
             values = localization_integrals(runs, k, table)
             for shape, [n] in runs.items():

@@ -7,9 +7,10 @@ and two columns (k >= 3); single-row and single-column shapes follow the
 binomial criteria of Tevelev together with the exceptional families: the
 two degree-2 shapes, alternating (n-2)-forms with n even, and alternating
 3-forms on C^7.  The one uncovered corner (k = 2 with a two-row,
-two-column shape) is delegated to the top-Chern-class oracle.  ``run_sweep``
-compares the rules with that class over a grid of small instances, at the
-flip points that ``chern.flip_points`` finds, reading the corner from them too.
+two-column shape) reads the flip point of the top Chern class that
+``chern.flip_points`` finds.  ``run_sweep`` compares the rules with that
+class over a grid of small instances, at the flip points of one such search,
+reading the corner from them too.
 
 The degree-2 shapes flip at different points.  A generic symmetric form
 (shape (2,)) is nondegenerate, so its isotropic subspaces have dimension
@@ -26,14 +27,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from . import chern
-from .errors import (
-    DegreeGuard,
-    EmptyPartition,
-    InvalidRange,
-    OutOfTheoremScope,
-    SizeGuard,
-    ZeroModule,
-)
+from .errors import EmptyPartition, InvalidRange, OutOfTheoremScope, ZeroModule
 from .partitions import Partition, partitions_up_to
 from .schur import schur_ones_hook_content
 
@@ -48,8 +42,8 @@ RULE_DEGREE_1 = "degree-1"
 RULE_TRIVIAL = "trivial-zero-module"
 RULE_ORACLE_FALLBACK = "oracle-fallback"
 
-# Oracle caps for exhaustive sweeps and the k = 2 fallback; single oracle
-# queries may raise the tableau/term caps via flags instead.
+# run_sweep's oracle column covers k <= SWEEP_K_CAP and class degrees <=
+# SWEEP_DIM_CAP; the k = 2 fallback is bounded only by the localization cap.
 SWEEP_DIM_CAP = 40
 SWEEP_K_CAP = 6
 
@@ -102,20 +96,26 @@ def threshold_n(shape: Partition, k: int) -> int:
 
 
 def decide(shape: Partition, k: int, n: int) -> Verdict:
-    """Route (shape, k, n) to the applicable rule and decide isotropy."""
+    """Route (shape, k, n) to the applicable rule and decide isotropy.
+
+    The k = 2 corner reads its flip point from chern.flip_points, which
+    raises SizeGuard when a candidate n is over the localization cost cap."""
     shape = Partition(shape)
     if not shape:
         raise EmptyPartition("the empty symmetry type carries no decision")
     if k < 1 or k > n:
         raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _route(shape, k, lambda n: chern.top_chern_nonzero(shape, k, n).nonzero)(n)
+    return _route(
+        shape, k, lambda dim: chern.flip_points({(shape, k): dim}, n)[shape, k]
+    )(n)
 
 
 def _route(
-    shape: Partition, k: int, oracle: Callable[[int], bool]
+    shape: Partition, k: int, flip: Callable[[int], int]
 ) -> Callable[[int], Verdict]:
     """decide's rule for a nonempty shape at k, as a map from n >= k to its
-    Verdict; oracle(n), whether the class on Gr(k, n) is nonzero, answers k = 2."""
+    Verdict; flip(dim), the first n at which the class of degree dim is
+    nonzero (past every n asked for when there is none), answers k = 2."""
     rows = len(shape)
 
     if rows > k:
@@ -173,22 +173,11 @@ def _route(
         detail = f"isotropic iff n >= dim/k + k = {dim}/{k} + {k}; minimal n = {t}"
     else:
         # k == 2 with a two-row, two-column shape: no closed-form rule is
-        # stated, so the oracle answers directly.
+        # stated, so the class's flip point answers directly.
         dim = schur_ones_hook_content(shape, k)
-        if dim > SWEEP_DIM_CAP:
-            raise OutOfTheoremScope(
-                f"k={k} with shape {shape.as_text()} is outside the closed-form rules"
-                f" and its dimension {dim} exceeds the oracle cap {SWEEP_DIM_CAP}"
-            )
 
         def fallback(n: int) -> Verdict:
-            try:
-                nonzero = oracle(n)
-            except (SizeGuard, DegreeGuard) as exc:
-                raise OutOfTheoremScope(
-                    f"oracle fallback for k={k}, shape {shape.as_text()} exceeded"
-                    f" caps: {exc}"
-                ) from exc
+            nonzero = n >= flip(dim)
             return Verdict(
                 nonzero, RULE_ORACLE_FALLBACK, None,
                 f"outside the closed-form rules (k=2, two-row shape); the top Chern"
@@ -208,8 +197,9 @@ def min_isotropic_n(shape: Partition, k: int) -> int:
     single-column rules only delay isotropy past the binomial threshold,
     so the answer is the threshold or a few steps beyond it, and the scan
     stays short even when the threshold is huge.  The k = 2 oracle
-    fallback has no threshold and is scanned from k; by n = k + dim it is
-    guaranteed nonzero since no Schur coefficient is cut by the box bound.
+    fallback has no threshold and is scanned from k: each n below
+    k + ceil(dim/k) reads its flip point without work, and by n = k + dim the
+    class is nonzero since no Schur coefficient is cut by the box bound.
     """
     shape = Partition(shape)
     if not shape:
@@ -253,7 +243,7 @@ def run_sweep(
     for shape in shapes:
         for k in range(len(shape), min(max_k, max_n - 1) + 1):
             pair = shape, k
-            route = _route(shape, k, lambda n, pair=pair: n >= flips[pair])
+            route = _route(shape, k, lambda dim, pair=pair: flips[pair])
             # the oracle-fallback pairs of _route need their flips, shown or not
             fallback = k == 2 and len(shape) == 2 and shape[0] >= 2
             degree = schur_ones_hook_content(shape, k) if k <= oracle_k or fallback else 0

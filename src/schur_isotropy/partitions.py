@@ -96,9 +96,6 @@ def parse_partition(text: str) -> Partition:
     for p in parts:
         if p <= 0:
             raise NonPositivePart(f"part {p} is not positive")
-    for left, right in zip(parts, parts[1:]):
-        if right > left:
-            raise NotWeaklyDecreasing(f"parts {left},{right} increase")
     return Partition(parts)
 
 

@@ -187,47 +187,43 @@ def test_localization_integral_shortcuts_and_guards():
     assert integral(Partition((1,)), 300, 301) == 1
 
 
+def _no_expansion(*args, **kwargs):
+    raise AssertionError("the sweep fell back to the expansion")
+
+
 def test_a_sweep_at_large_n_passes_the_cost_guard(monkeypatch):
     # k = 6, n = 23 has 100947 fixed points; the expansion answers (1,) there
     # at once, so the guard must let the sum run too, with no fallback
-    def no_expansion(*args, **kwargs):
-        raise AssertionError("the sweep fell back to the expansion")
-
-    monkeypatch.setattr(chern, "top_chern_nonzero", no_expansion)
+    monkeypatch.setattr(chern, "top_chern_nonzero", _no_expansion)
     cases = run_sweep(1, 6, 23, with_oracle=True)
     last = cases[-1]
     assert (last.shape, last.k, last.n, last.oracle_nonzero) == ((1,), 6, 23, True)
     assert all(case.agree for case in cases)
 
 
-def test_the_sweep_falls_back_to_the_expansion_past_the_cost_cap(monkeypatch):
-    expected = run_sweep(3, 4, 8, with_oracle=True)
+def test_the_sweep_raises_the_cost_guard_past_the_cap(monkeypatch):
+    # past the cap the sweep does not expand: the sum refuses its candidate
     monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", 0)
     with pytest.raises(SizeGuard):
         localization_integrals({Partition((1,)): [2]}, 1)
-    assert run_sweep(3, 4, 8, with_oracle=True) == expected
+    monkeypatch.setattr(chern, "top_chern_nonzero", _no_expansion)
+    with pytest.raises(SizeGuard):
+        run_sweep(3, 4, 8, with_oracle=True)
 
 
-def test_a_window_split_by_the_cost_cap_keeps_its_cases(monkeypatch):
-    expected = run_sweep(3, 4, 10, with_oracle=True)
+def test_a_window_split_by_the_cost_cap_raises_at_its_first_refused_n(monkeypatch):
     two_one = Partition((2, 1))
     degree = schur_ones_hook_content(two_one, 4)
-    # (2,1) at k = 4 is summed up to n = 8 and expanded from n = 9 on
+    # (2,1) at k = 4 could be summed up to n = 8 and is refused from n = 9 on,
+    # its first candidate since its degree 20 exceeds dim Gr(4, 8) = 16
     cap = chern.localization_cost(4, 8, degree)
     assert chern.localization_cost(4, 9, degree) > cap
     monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", cap)
     with pytest.raises(SizeGuard):
         localization_integrals({two_one: range(5, 11)}, 4)
-    expanded = []
-    true_expansion = chern.top_chern_nonzero
-
-    def recording(shape, k, n, *args, **kwargs):
-        expanded.append((tuple(shape), k, n))
-        return true_expansion(shape, k, n, *args, **kwargs)
-
-    monkeypatch.setattr(chern, "top_chern_nonzero", recording)
-    assert run_sweep(3, 4, 10, with_oracle=True) == expected
-    assert ((2, 1), 4, 9) in expanded and ((2, 1), 4, 8) not in expanded
+    monkeypatch.setattr(chern, "top_chern_nonzero", _no_expansion)
+    with pytest.raises(SizeGuard, match=r"Gr\(4,9\)"):
+        run_sweep(3, 4, 10, with_oracle=True)
 
 
 def test_the_flip_reading_equals_the_values_at_every_n():
@@ -357,11 +353,11 @@ def test_wide_roots_take_wider_lanes():
 
 
 def test_the_oracle_fallback_agrees_with_the_sweep_column():
-    # at k = 2 with a two-row shape decide takes its verdict from the
-    # expansion and the sweep column comes from the localization sum;
-    # criterion 6 leaves these cases out, so they are pinned here.  The
-    # sweep reads both from the same flip, so each case is also held
-    # against a direct decide call, which runs the expansion
+    # at k = 2 with a two-row shape the verdict and the sweep column both
+    # come from the localization sum; criterion 6 leaves these cases out,
+    # so they are pinned here.  The sweep reads both from one search over
+    # its pairs, so each case is also held against a direct decide call,
+    # which searches its one pair up to its one n
     fallback = [
         case for case in run_sweep(5, 5, 9, with_oracle=True)
         if case.rule == RULE_ORACLE_FALLBACK

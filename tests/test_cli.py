@@ -169,6 +169,8 @@ HUMAN_OUTPUTS = [
      "8df375e209a2baf991d33ebbb5178cb36a104079b287f9084e86e9245bc4752f"),
     ("decide --lambda 2,1 --k 3 --n 6", 0,
      "004b6ccd9b56004613969684f95c8e9edd3a3d3ca707545afa34b516a4d91522"),
+    ("decide --lambda 50,2 --k 2 --n 30", 0,
+     "a71209b4724343297cd91321ea1769b124ddbda245f269ad016f4cd42d260661"),
     ("min-n --lambda 2,2 --k 3", 0,
      "e9bef896f75b462ef9a1a7a932341f1c9ecdfeb63dd4f1e2df21d0b8703f46bf"),
     ("oracle --lambda 2,1 --k 3 --n 6", 0,
@@ -317,12 +319,16 @@ def test_the_cli_import_leaves_fractions_and_json_out():
 
 def test_the_package_import_and_the_sweep_leave_the_cold_modules_out():
     # the verification layer, the filling walk and the expansion load on
-    # first use, so neither the import nor a sweep compiles them
+    # first use, so neither the import, a sweep nor the k = 2 fallback of
+    # decide compiles them
     cold = [f"schur_isotropy.{name}" for name in ("proofs", "sympoly", "tableaux")]
     assert _modules_after("import schur_isotropy", cold) == "[]"
     assert _modules_after(
         "from schur_isotropy import run_sweep; run_sweep(4, 4, 8, with_oracle=True)",
         cold,
+    ) == "[]"
+    assert _modules_after(
+        "from schur_isotropy import decide; decide((50, 2), 2, 30)", cold
     ) == "[]"
     assert _modules_after(
         "from schur_isotropy.cli import run; run(['dim', '--lambda', '2,1',"

@@ -1,14 +1,16 @@
 from math import comb
+from time import perf_counter
 
 import pytest
 
-from schur_isotropy import isotropy
+from schur_isotropy import chern, isotropy
 from schur_isotropy.chern import top_chern_nonzero
 from schur_isotropy.errors import (
     ChainStepFailed,
     EmptyPartition,
     InvalidRange,
     OutOfTheoremScope,
+    SizeGuard,
     ZeroModule,
 )
 from schur_isotropy.isotropy import (
@@ -139,6 +141,22 @@ def test_decide_oracle_fallback_for_k2():
     # single filling of (2,2) with two letters, so the class is a multiple of
     # the first Schubert class and survives for every n >= 3
     assert decide(Partition((2, 2)), 2, 3).isotropic is True
+    # dimension 49, past the sweep's dimension cap of 40
+    assert decide(Partition((50, 2)), 2, 30)[:2] == (True, RULE_ORACLE_FALLBACK)
+    # the sum at the first candidate, n = 502, is far over the cost cap
+    start = perf_counter()
+    with pytest.raises(SizeGuard):
+        decide(Partition((1000, 2)), 2, 600)
+    assert perf_counter() - start < 1
+
+
+def test_two_row_shapes_at_k2_flip_at_the_degree_bound():
+    # Bloch-Gieseker: the rank a - b + 1 bundle S_(a,b)(S^*) on Gr(2, n) is
+    # ample, so its top Chern class is nonzero as soon as its degree fits,
+    # at n = 2 + ceil((a - b + 1)/2)
+    for a in range(2, 26):
+        for b in range(1, a + 1):
+            assert min_isotropic_n(Partition((a, b)), 2) == 2 + -(-(a - b + 1) // 2)
 
 
 def test_decide_validation():
@@ -355,13 +373,14 @@ def test_one_routing_per_pair_gives_the_verdicts_of_decide():
 
 
 def test_a_sweep_raises_what_decide_raises(monkeypatch):
-    # the k = 2 fallback refuses a shape over the dimension cap; with the cap
-    # lowered, (3,1) at k = 2 (dimension 3) is the sweep's first such pair
-    monkeypatch.setattr(isotropy, "SWEEP_DIM_CAP", 2)
-    with pytest.raises(OutOfTheoremScope) as direct:
-        decide(Partition((3, 1)), 2, 3)
+    # the k = 2 fallback reads the localization sum; with its cap lowered,
+    # (3,1) at k = 2 (dimension 3) is refused at its first candidate n = 4
+    monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", 41)
+    with pytest.raises(SizeGuard) as direct:
+        decide(Partition((3, 1)), 2, 5)
+    assert str(direct.value).startswith("localization on Gr(2,4) predicts cost 42 ")
     for oracle in (False, True):
-        with pytest.raises(OutOfTheoremScope) as swept:
+        with pytest.raises(SizeGuard) as swept:
             run_sweep(4, 2, 5, with_oracle=oracle)
         assert str(swept.value) == str(direct.value)
         # windows with no n above k = 2, or no k = 2, decide only k = 1

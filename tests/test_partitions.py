@@ -30,6 +30,8 @@ def test_parse_basic():
 def test_parse_rejects_unsorted_instead_of_sorting():
     with pytest.raises(NotWeaklyDecreasing):
         parse_partition("1,2")
+    with pytest.raises(NotWeaklyDecreasing, match="parts 1,2 increase"):
+        parse_partition("3,1,2")
 
 
 def test_parse_rejects_nonpositive_parts():
@@ -39,6 +41,8 @@ def test_parse_rejects_nonpositive_parts():
         parse_partition("3,0")
     with pytest.raises(NonPositivePart):
         parse_partition("-1")
+    with pytest.raises(NonPositivePart):
+        parse_partition("2,3,0")
 
 
 def test_parse_rejects_malformed_tokens():
