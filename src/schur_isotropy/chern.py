@@ -134,6 +134,17 @@ def localization_cost(k: int, n: int, degree: int) -> int:
     return comb(n, k) * (degree + k * (n - k))
 
 
+def _refuse_over_cap(k: int, n: int, degree: int) -> None:
+    """Raise SizeGuard when localization_cost(k, n, degree) exceeds the cap."""
+    cost = localization_cost(k, n, degree)
+    if cost > LOCALIZATION_COST_CAP:
+        raise SizeGuard(
+            f"localization on Gr({k},{n}) predicts cost {cost}"
+            f" ({comb(n, k)} fixed points times {degree} + {k * (n - k)}),"
+            f" over the cap {LOCALIZATION_COST_CAP}"
+        )
+
+
 def _pack(values: Iterable[int], offset: int, typecode: str) -> int:
     """sum(v * 2^(w * lane)): the values as the w-bit lanes of one integer.
 
@@ -217,13 +228,7 @@ def localization_integrals(
         degree = schur_ones_hook_content(shape, k)
         values[shape] = dict.fromkeys(ns, 0)
         for n in (n for n in ns if shape and degree <= k * (n - k)):
-            cost = localization_cost(k, n, degree)
-            if cost > LOCALIZATION_COST_CAP:
-                raise SizeGuard(
-                    f"localization on Gr({k},{n}) predicts cost {cost}"
-                    f" ({comb(n, k)} fixed points times {degree} + {k * (n - k)}),"
-                    f" over the cap {LOCALIZATION_COST_CAP}"
-                )
+            _refuse_over_cap(k, n, degree)
             passes.setdefault(n, []).append((shape, degree))
     table = {} if table is None else table
     for n, batch in passes.items():
@@ -297,9 +302,10 @@ def flip_points(
     class is zero without work, so a pair starts at max(k + 1, n0).  Each
     round makes one localization_integrals call per k that asks every pair
     still pending there for one n, and a pair leaves at its first positive
-    value.  All calls share one weight table.  A candidate n whose
-    localization_cost is over LOCALIZATION_COST_CAP raises the sum's
-    SizeGuard before its call does any work.
+    value.  All calls share one weight table.  A round checks every
+    candidate's localization_cost, in call order, before its first call, so
+    one over LOCALIZATION_COST_CAP raises the sum's SizeGuard before the
+    round does any work.
     """
     flips = {
         (shape, k): min(max(k + 1, k - (-degree // k)), max_n + 1)
@@ -310,6 +316,9 @@ def flip_points(
         asked, nonzero = {}, {}
         for shape, k in pending:
             asked.setdefault(k, {})[shape] = [flips[shape, k]]
+        for k, runs in asked.items():  # every call of the round, before the first
+            for shape, [n] in runs.items():
+                _refuse_over_cap(k, n, degrees[shape, k])
         for k, runs in asked.items():
             values = localization_integrals(runs, k, table)
             for shape, [n] in runs.items():

@@ -1,10 +1,11 @@
 """Command line front end: dimensions, decisions, oracle queries, and sweeps.
 
-Every command can emit either an aligned table (default) or a JSON envelope
-(--json).  Output is byte-deterministic for identical argv: big integers are
-serialized as decimal strings and timing_ms stays 0 unless --timing is given.
-A handler whose layer the package import leaves out (proofs, sympoly)
-imports it in its body, so a command compiles only what it runs.
+A command is one COMMANDS entry (help line, ARGUMENTS groups, handler) plus its
+branch in schemas/output.schema.json.  run prints the handler's Output as an
+aligned table (default) or a JSON envelope (--json), byte-deterministic for
+identical argv: big integers are decimal strings and timing_ms stays 0 unless
+--timing is given.  A handler whose layer the package import leaves out
+(proofs, sympoly) imports it in its body, so a command compiles only what it runs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import NamedTuple, Sequence
 
 from .chern import DEFAULT_ENUMERATION_CAP, DEFAULT_TERM_CAP, top_chern_nonzero
 from .errors import DomainError, ZeroModule
@@ -23,7 +25,6 @@ SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
-EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 
 
@@ -48,113 +49,82 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _format_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(header), *(len(row[i]) for row in rows)) if rows else len(header)
-        for i, header in enumerate(headers)
-    ]
-    def line(cells):
-        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-    return [line(headers), line(["-" * w for w in widths])] + [line(r) for r in rows]
+# (group, flag, add_argument options) in usage order; a command takes the
+# groups its COMMANDS entry names, and the output group
+ARGUMENTS = [
+    ("lambda", "--lambda", dict(
+        dest="lam", type=_partition_arg, required=True, metavar="PARTS",
+        help="shape as a weakly decreasing comma list, e.g. 2,1")),
+    ("k", "--k", dict(
+        type=_positive_int, required=True, help="dimension of the sought subspace")),
+    ("n", "--n", dict(
+        type=_nonnegative_int, required=True, help="dimension of the ambient space")),
+    ("caps", "--max-tableaux", dict(
+        type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
+        help="enumeration cap (default %(default)s)")),
+    ("caps", "--max-terms", dict(
+        type=_positive_int, default=DEFAULT_TERM_CAP,
+        help="polynomial term cap (default %(default)s)")),
+    ("sweep", "--max-size", dict(
+        type=_positive_int, default=5, help="largest shape size (default %(default)s)")),
+    ("sweep", "--max-k", dict(
+        type=_positive_int, default=5, help="largest k (default %(default)s)")),
+    ("sweep", "--max-n", dict(
+        type=_positive_int, default=9, help="largest n (default %(default)s)")),
+    ("sweep", "--with-oracle", dict(
+        action="store_true", help="also run the Chern oracle wherever caps allow")),
+    ("output", "--json", dict(action="store_true", help="emit a JSON envelope")),
+    ("output", "--timing", dict(
+        action="store_true", help="report measured wall time in timing_ms instead of 0")),
+]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schur-isotropy",
-        description=(
-            "Decide whether a generic form with a given Young-type symmetry"
-            " vanishes on some k-dimensional subspace of C^n."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Output(NamedTuple):
+    """A command's answer: the JSON result (the envelope leaves its None values
+    out), the table form (no table without headers) and the exit code."""
 
-    def add_common(p, *, lam=False, k=False, n=False, caps=False):
-        if lam:
-            p.add_argument(
-                "--lambda", dest="lam", type=_partition_arg, required=True,
-                metavar="PARTS", help="shape as a weakly decreasing comma list, e.g. 2,1",
-            )
-        if k:
-            p.add_argument("--k", type=_positive_int, required=True,
-                           help="dimension of the sought subspace")
-        if n:
-            p.add_argument("--n", type=_nonnegative_int, required=True,
-                           help="dimension of the ambient space")
-        if caps:
-            p.add_argument("--max-tableaux", type=_positive_int,
-                           default=DEFAULT_ENUMERATION_CAP,
-                           help="enumeration cap (default %(default)s)")
-            p.add_argument("--max-terms", type=_positive_int,
-                           default=DEFAULT_TERM_CAP,
-                           help="polynomial term cap (default %(default)s)")
-        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        p.add_argument("--timing", action="store_true",
-                       help="report measured wall time in timing_ms instead of 0")
+    result: dict
+    headers: Sequence[str] = ()
+    rows: Sequence[Sequence] = ()
+    before: Sequence[str] = ()
+    after: Sequence[str] = ()
+    code: int = EXIT_OK
 
-    p = sub.add_parser("dim", help="dimension of the symmetry module over C^n")
-    add_common(p, lam=True, n=True)
 
-    p = sub.add_parser("decide", help="isotropy verdict for (lambda, k, n)")
-    add_common(p, lam=True, k=True, n=True)
+def _cell(value) -> str:
+    """A table cell: - for None, true or false, a shape as its comma list."""
+    if isinstance(value, Partition):
+        value = value.as_text() or None
+    if value is None:
+        return "-"
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
-    p = sub.add_parser("min-n", help="smallest ambient dimension giving isotropy")
-    add_common(p, lam=True, k=True)
 
-    p = sub.add_parser("oracle", help="top Chern class test on Gr(k, n)")
-    add_common(p, lam=True, k=True, n=True, caps=True)
-
-    p = sub.add_parser("check-lemma36",
-                       help="interlacing inequality family dim <= (k-i)(n-k-i)")
-    add_common(p, lam=True, k=True, n=True)
-
-    p = sub.add_parser("proof-chain",
-                       help="replay the inequality chain certifying the threshold")
-    add_common(p, lam=True, k=True, n=True)
-
-    p = sub.add_parser("sweep", help="compare decision rules against the oracle")
-    p.add_argument("--max-size", type=_positive_int, default=5,
-                   help="largest shape size (default %(default)s)")
-    p.add_argument("--max-k", type=_positive_int, default=5,
-                   help="largest k (default %(default)s)")
-    p.add_argument("--max-n", type=_positive_int, default=9,
-                   help="largest n (default %(default)s)")
-    p.add_argument("--with-oracle", action="store_true",
-                   help="also run the Chern oracle wherever caps allow")
-    add_common(p)
-
-    p = sub.add_parser("self-check",
-                       help="dimension triple agreement and the inequality suites")
-    add_common(p)
-
-    return parser
+def _format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> list[str]:
+    rows = [headers] + [[_cell(value) for value in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * width for width in widths])
+    return ["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows]
 
 
 def _cmd_dim(args):
     from .proofs import dim_schur_module
 
-    dim = str(dim_schur_module(args.lam, args.n).value)
-    result = {"lambda": list(args.lam), "n": args.n, "dim": dim}
-    human = _format_table(
-        ["lambda", "n", "dim"], [[args.lam.as_text() or "-", str(args.n), dim]]
+    dim = dim_schur_module(args.lam, args.n).value
+    return Output(
+        {"lambda": list(args.lam), "n": args.n, "dim": str(dim)},
+        ["lambda", "n", "dim"], [[args.lam, args.n, dim]],
     )
-    return result, human, EXIT_OK
 
 
 def _cmd_decide(args):
     verdict = decide(args.lam, args.k, args.n)
-    result = {"isotropic": verdict.isotropic, "rule": verdict.rule}
-    if verdict.threshold_n is not None:
-        result["threshold_n"] = verdict.threshold_n
-    result["detail"] = verdict.detail
-    human = _format_table(
-        ["lambda", "k", "n", "isotropic", "rule", "threshold_n"],
-        [[
-            args.lam.as_text(), str(args.k), str(args.n),
-            str(verdict.isotropic).lower(), verdict.rule,
-            "-" if verdict.threshold_n is None else str(verdict.threshold_n),
-        ]],
-    ) + [f"detail: {verdict.detail}"]
-    return result, human, EXIT_OK
+    isotropic, rule, threshold, detail = verdict
+    return Output(
+        verdict._asdict(), ["lambda", "k", "n", "isotropic", "rule", "threshold_n"],
+        [[args.lam, args.k, args.n, isotropic, rule, threshold]],
+        after=[f"detail: {detail}"],
+    )
 
 
 def _cmd_min_n(args):
@@ -164,155 +134,127 @@ def _cmd_min_n(args):
         formula = threshold_n(args.lam, args.k)
         dim = str(schur_ones_hook_content(args.lam, args.k))
     except ZeroModule:
-        formula = None
-        dim = "0"
-    result = {"lambda": list(args.lam), "k": args.k, "dim": dim}
-    if formula is not None:
-        result["threshold_n"] = formula
-    result["min_isotropic_n"] = smallest
-    result["rule_at_min_n"] = rule
-    human = _format_table(
+        formula, dim = None, "0"
+    return Output(
+        {"lambda": list(args.lam), "k": args.k, "dim": dim, "threshold_n": formula,
+         "min_isotropic_n": smallest, "rule_at_min_n": rule},
         ["lambda", "k", "dim", "threshold_n", "min_isotropic_n", "rule"],
-        [[
-            args.lam.as_text(), str(args.k), dim,
-            "-" if formula is None else str(formula), str(smallest), rule,
-        ]],
+        [[args.lam, args.k, dim, formula, smallest, rule]],
     )
-    return result, human, EXIT_OK
 
 
 def _cmd_oracle(args):
     from .sympoly import expansion_to_json
 
     verdict = top_chern_nonzero(
-        args.lam, args.k, args.n,
-        max_tableaux=args.max_tableaux, max_terms=args.max_terms,
+        args.lam, args.k, args.n, max_tableaux=args.max_tableaux, max_terms=args.max_terms
     )
-    result = {
-        "nonzero": verdict.nonzero,
-        "degree": str(verdict.degree),
-        "shortcut": verdict.shortcut,
-        "surviving": expansion_to_json(dict(verdict.surviving)),
-    }
-    rows = [
-        [mu.as_text() or "-", str(coeff)] for mu, coeff in verdict.surviving
-    ] or [["-", "-"]]
-    human = [
-        f"nonzero: {str(verdict.nonzero).lower()}"
-        f"  degree: {verdict.degree}  shortcut: {verdict.shortcut}",
-        "surviving classes:",
-    ] + _format_table(["mu", "coeff"], rows)
-    return result, human, EXIT_OK
+    return Output(
+        {"nonzero": verdict.nonzero, "degree": str(verdict.degree),
+         "shortcut": verdict.shortcut,
+         "surviving": expansion_to_json(dict(verdict.surviving))},
+        ["mu", "coeff"], verdict.surviving or [[None, None]],
+        before=[f"nonzero: {_cell(verdict.nonzero)}  degree: {verdict.degree}"
+                f"  shortcut: {verdict.shortcut}", "surviving classes:"],
+    )
 
 
 def _cmd_check_lemma36(args):
     from .proofs import tevelev_inequalities
 
     report = tevelev_inequalities(args.lam, args.k, args.n)
-    result = {
-        "rows": [
-            {"i": row.index, "lhs": str(row.lhs), "rhs": str(row.rhs),
-             "holds": row.holds}
-            for row in report.rows
-        ],
-        "all_hold": report.all_hold,
-    }
-    human = _format_table(
-        ["i", "dim(C^(k-i))", "(k-i)(n-k-i)", "holds"],
-        [[str(r.index), str(r.lhs), str(r.rhs), str(r.holds).lower()]
-         for r in report.rows],
-    ) + [f"all hold: {str(report.all_hold).lower()}"]
-    return result, human, EXIT_OK
+    return Output(
+        {"rows": [{"i": i, "lhs": str(lhs), "rhs": str(rhs), "holds": holds}
+                  for i, lhs, rhs, holds in report.rows],
+         "all_hold": report.all_hold},
+        ["i", "dim(C^(k-i))", "(k-i)(n-k-i)", "holds"], report.rows,
+        after=[f"all hold: {_cell(report.all_hold)}"],
+    )
 
 
 def _cmd_proof_chain(args):
     from .proofs import verify_proof_chain
 
     steps = verify_proof_chain(args.lam, args.k, args.n)
-    result = {
-        "steps": [step._asdict() for step in steps],
-        "all_verified": all(s.holds for s in steps),
-    }
-    human = _format_table(
-        ["step", "holds", "detail"],
-        [[s.name, str(s.holds).lower(), s.detail] for s in steps],
-    ) + [f"all verified: {str(all(s.holds for s in steps)).lower()}"]
-    return result, human, EXIT_OK
+    verified = all(s.holds for s in steps)
+    return Output(
+        {"steps": [step._asdict() for step in steps], "all_verified": verified},
+        ["step", "holds", "detail"], [[s.name, s.holds, s.detail] for s in steps],
+        after=[f"all verified: {_cell(verified)}"],
+    )
 
 
 def _cmd_sweep(args):
     cases = run_sweep(args.max_size, args.max_k, args.max_n, with_oracle=args.with_oracle)
+    keys = ["lambda", "k", "n", "isotropic", "rule", "oracle_nonzero", "agree"]
+    rows = [[c.shape, c.k, c.n, c.isotropic, c.rule, c.oracle_nonzero, c.agree]
+            for c in cases]
     disagreements = sum(1 for c in cases if c.agree is False)
     compared = sum(1 for c in cases if c.oracle_nonzero is not None)
-    result = {
-        "total": len(cases),
-        "compared": compared,
-        "disagreements": disagreements,
-        "cases": [
-            {
-                "lambda": list(c.shape), "k": c.k, "n": c.n,
-                "isotropic": c.isotropic, "rule": c.rule,
-                "oracle_nonzero": c.oracle_nonzero, "agree": c.agree,
-            }
-            for c in cases
-        ],
-    }
-    human = _format_table(
-        ["lambda", "k", "n", "isotropic", "rule", "oracle", "agree"],
-        [[
-            c.shape.as_text(), str(c.k), str(c.n), str(c.isotropic).lower(),
-            c.rule,
-            "-" if c.oracle_nonzero is None else str(c.oracle_nonzero).lower(),
-            "-" if c.agree is None else str(c.agree).lower(),
-        ] for c in cases],
-    ) + [
-        f"total: {len(cases)}  compared: {compared}"
-        f"  disagreements: {disagreements}"
-    ]
-    code = EXIT_DISAGREEMENT if disagreements else EXIT_OK
-    return result, human, code
+    return Output(
+        {"total": len(cases), "compared": compared, "disagreements": disagreements,
+         "cases": [dict(zip(keys, row)) for row in rows]},
+        ["lambda", "k", "n", "isotropic", "rule", "oracle", "agree"], rows,
+        after=[f"total: {len(cases)}  compared: {compared}"
+               f"  disagreements: {disagreements}"],
+        code=EXIT_DISAGREEMENT if disagreements else EXIT_OK,
+    )
 
 
 def _cmd_self_check(args):
     from .proofs import self_check_suites
 
-    suites = [
-        {"name": name, "cases": len(outcomes), "violations": outcomes.count(False),
-         "ok": all(outcomes)}
-        for name, outcomes in self_check_suites()
-    ]
+    suites = [{"name": name, "cases": len(outcomes), "violations": outcomes.count(False),
+               "ok": all(outcomes)} for name, outcomes in self_check_suites()]
     all_ok = all(suite["ok"] for suite in suites)
-    result = {"suites": suites, "ok": all_ok}
-    human = [
-        f"{'PASS' if s['ok'] else 'FAIL'}  {s['name']}:"
-        f" {s['cases']} cases, {s['violations']} violations"
-        for s in suites
-    ] + [f"self-check: {'PASS' if all_ok else 'FAIL'}"]
-    return result, human, EXIT_OK if all_ok else EXIT_DOMAIN_ERROR
+    return Output(
+        {"suites": suites, "ok": all_ok},
+        before=[f"{'PASS' if s['ok'] else 'FAIL'}  {s['name']}: {s['cases']} cases,"
+                f" {s['violations']} violations" for s in suites]
+        + [f"self-check: {'PASS' if all_ok else 'FAIL'}"],
+        code=EXIT_OK if all_ok else EXIT_DOMAIN_ERROR,
+    )
 
 
-_HANDLERS = {
-    "dim": _cmd_dim,
-    "decide": _cmd_decide,
-    "min-n": _cmd_min_n,
-    "oracle": _cmd_oracle,
-    "check-lemma36": _cmd_check_lemma36,
-    "proof-chain": _cmd_proof_chain,
-    "sweep": _cmd_sweep,
-    "self-check": _cmd_self_check,
+# name: (help line, argument groups, handler), in the order --help lists them
+COMMANDS = {
+    "dim": ("dimension of the symmetry module over C^n", "lambda n", _cmd_dim),
+    "decide": ("isotropy verdict for (lambda, k, n)", "lambda k n", _cmd_decide),
+    "min-n": ("smallest ambient dimension giving isotropy", "lambda k", _cmd_min_n),
+    "oracle": ("top Chern class test on Gr(k, n)", "lambda k n caps", _cmd_oracle),
+    "check-lemma36": ("interlacing inequality family dim <= (k-i)(n-k-i)",
+                      "lambda k n", _cmd_check_lemma36),
+    "proof-chain": ("replay the inequality chain certifying the threshold",
+                    "lambda k n", _cmd_proof_chain),
+    "sweep": ("compare decision rules against the oracle", "sweep", _cmd_sweep),
+    "self-check": ("dimension triple agreement and the inequality suites", "",
+                   _cmd_self_check),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="schur-isotropy", description=(
+        "Decide whether a generic form with a given Young-type symmetry"
+        " vanishes on some k-dimensional subspace of C^n."
+    ))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, groups, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for group, flag, options in ARGUMENTS:
+            if group in groups.split() or group == "output":
+                p.add_argument(flag, **options)
+    return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Execute one command; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        result, human, code = _HANDLERS[args.command](args)
+        out = COMMANDS[args.command][2](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
@@ -327,18 +269,15 @@ def run(argv: list[str] | None = None) -> int:
             for name, value in vars(args).items()
             if name not in ("command", "json", "timing")
         }
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "timing_ms": elapsed,
-        }
+        result = {key: value for key, value in out.result.items() if value is not None}
+        envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                    "inputs": inputs, "result": result, "timing_ms": elapsed}
         print(json.dumps(envelope, indent=2))
     else:
-        for line in human:
+        table = _format_table(out.headers, out.rows) if out.headers else []
+        for line in [*out.before, *table, *out.after]:
             print(line)
-    return code
+    return out.code
 
 
 def main() -> None:

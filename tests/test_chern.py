@@ -226,6 +226,24 @@ def test_a_window_split_by_the_cost_cap_raises_at_its_first_refused_n(monkeypatc
         run_sweep(3, 4, 10, with_oracle=True)
 
 
+def test_a_round_over_the_cost_cap_sums_nothing(monkeypatch):
+    # (1,1) at k = 3 is zero at n = 4 and (1,1,1) at k = 5 at n = 7, so both
+    # ask again in a second round, where Gr(5,8) is over the cap: that round
+    # refuses before its k = 3 sum starts
+    skew, cubic = Partition((1, 1)), Partition((1, 1, 1))
+    monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", chern.localization_cost(5, 7, 10))
+    true_sum, calls = chern.localization_integrals, []
+
+    def counted(runs, k, *args, **kwargs):
+        calls.append((k, {shape: list(ns) for shape, ns in runs.items()}))
+        return true_sum(runs, k, *args, **kwargs)
+
+    monkeypatch.setattr(chern, "localization_integrals", counted)
+    with pytest.raises(SizeGuard, match=r"^localization on Gr\(5,8\) predicts cost 1400 "):
+        chern.flip_points({(skew, 3): 3, (cubic, 5): 10}, 9)
+    assert calls == [(3, {skew: [4]}), (5, {cubic: [7]})]
+
+
 def test_the_flip_reading_equals_the_values_at_every_n():
     # run_sweep reads each (shape, k) from its first positive n; here every n
     # of the 11 sweep-oracle windows is summed on its own terms, one call per

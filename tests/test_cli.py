@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 from schur_isotropy import chern, isotropy
-from schur_isotropy.cli import run
+from schur_isotropy.cli import build_parser, run
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json").read_text()
@@ -192,6 +193,111 @@ def test_human_output_bytes_are_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the --json envelope of each HUMAN_OUTPUTS argv
+JSON_DIGESTS = [
+    "c1ce233a599e550bc99da93e325c24fea864e67af7c8c6cbfa672bbcc53a749c",
+    "1b7f35153f8a87e660c446d99db51f904cb1b5eb9fb8a93d0a29279757979bdf",
+    "d9e67794e1071755d82dcce89b42dc1fdc0ea2360a95d1765ed633e1314eaec8",
+    "b02dce21ad2f603c29d07ca91afac2e5093176c68fc37b58aee7b2def03b235d",
+    "c838121f4ab459ef8867ee6a201796f732d70ec1c1ff3c34404d71aec4772561",
+    "634b6f49be8ed5cd3afd4980a53e40e34663271616131587cf42fcafb637a35c",
+    "dc40a10c4c2d883e2cdfaf0c0cf1b093f104e6f392249f1e4a016ec9e4266116",
+    "d02c9f9ccb16236ce6bab30f1bdd9a277a71dac6ffd751929340d0a586c090f7",
+    "1b30d46085bfca8990ba49c470cfd347fd393ea5197132b95b12e5d68cab1e85",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [(argv, code, digest) for (argv, code, _), digest in zip(HUMAN_OUTPUTS, JSON_DIGESTS)],
+)
+def test_json_envelope_bytes_are_pinned(capsys, argv, code, digest):
+    assert run(argv.split() + ["--json"]) == code
+    assert sha256(capsys.readouterr().out) == digest
+
+
+# (argv, sha256 of stdout): the program's help and each command's
+HELP_OUTPUTS = [
+    ("--help", "4db9cbc48a8eee862bc0a2bf3e50ff376ac65ad81738ae55ceb1b61e167c4209"),
+    ("dim --help", "93eda716e1a838d0606f14f9aab898ebb57b7b6a4c3cce4053032d3782170a38"),
+    ("decide --help", "6f967e32ecd875f2238a5cdf72dac24c504035cda5bbbd16a06dde8a5805a16c"),
+    ("min-n --help", "3f5498e7d00f353488d3b2b443f3c2caa40603e9194978ce52e8c4de7ad50d74"),
+    ("oracle --help", "a869be69d97a74768394c4ee84471c2b3784b24540d816d9a3a7ff2b16ba63f4"),
+    ("check-lemma36 --help",
+     "530e92d7af732fd231b4bfd7b585397d8e65f472dd7a99fa063704e007d5253f"),
+    ("proof-chain --help",
+     "8c4b52f4faa31d5e593896cd68270aeb35fdddacbe6f7d6e6458af5b8c945eac"),
+    ("sweep --help", "f1403e53c19ad615fc17aac3b5dc2659fa239c39881847fd8ccc450fb163062b"),
+    ("self-check --help",
+     "dfe2d1c8d751e2b6111d194e3002c9e262088171be6704bc51df23ba37e993d0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", HELP_OUTPUTS)
+def test_help_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    assert run(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert (sha256(captured.out), captured.err) == (digest, "")
+
+
+# (argv, exit code, sha256 of stderr): a usage error of the command name, and
+# a usage error and a domain error for each argument type
+ERROR_OUTPUTS = [
+    (["no-such-command"], 2,
+     "cf24280ded3a6ed33a0e814d6d757f4688bef2ac240ca605a195fc7a67bc7814"),
+    (["dim", "--lambda", "1,2", "--n", "3"], 2,
+     "b50c9bdb551606ce0dd896aca3baa4a2431a92de445ac437786cbd78ba52be69"),
+    (["decide", "--lambda", "", "--k", "2", "--n", "4"], 1,
+     "9d102d10bba03a3ec86f8c204bd98e897ed2a4c8731fcd9cdb27f1dab9a83588"),
+    (["decide", "--lambda", "2,1", "--k", "0", "--n", "6"], 2,
+     "7b4c25a638559cd5b7bd652d5ea18e65828b7c9edb1dbc743e3b175cbda41d84"),
+    (["oracle", "--lambda", "1,1,1", "--k", "2", "--n", "5"], 1,
+     "2d4cc51181497bea9628511f40aa0f6d7b57c1828caf50270004e1d4629e39be"),
+    (["dim", "--lambda", "2,1", "--n", "-1"], 2,
+     "52af847fe5fff6eb2bf8578cb13fb2260122d5245f5864ee7a084c5872b28916"),
+    (["decide", "--lambda", "2,1", "--k", "3", "--n", "2"], 1,
+     "bc859c9e7d6b5bef70f57a853a66963448ae305d3713ce043bdb1b3aad0e77be"),
+    (["oracle", "--lambda", "2,1", "--k", "3", "--n", "6", "--max-tableaux", "0"], 2,
+     "34132a780da73dedf7e7fc10e899a8dacc243c39e4bcd4e5894d5e9fb110c0eb"),
+    (["oracle", "--lambda", "2,1", "--k", "3", "--n", "6", "--max-tableaux", "7"], 1,
+     "365de8f355600fd8bc25637d4421c6c79e16af5616c4628bd95e2d1530c52c74"),
+    (["sweep", "--max-size", "0"], 2,
+     "e8369f4b3b34e1190e2c08b07872734667db83d1b443ab0871a00fa27c6974c9"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", ERROR_OUTPUTS)
+def test_error_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, sha256(captured.err)) == ("", digest)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in HUMAN_OUTPUTS])
+def test_the_module_run_as_a_script_prints_what_run_prints(capsys, argv):
+    # the benchmark times each query as a fresh interpreter that runs the
+    # module as __main__ through runpy
+    code = run(argv.split())
+    expected = capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import runpy; runpy.run_module('schur_isotropy.cli', run_name='__main__',"
+        " alter_sys=True)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (code, expected)
+
+
 def test_sweep_json_inputs_are_its_arguments(capsys):
     code, envelope = run_json(capsys, ["sweep", "--max-size", "2", "--max-n", "3"])
     assert code == 0
@@ -212,6 +318,16 @@ def test_the_schema_rules_are_the_code_rules():
         value for name, value in vars(isotropy).items() if name.startswith("RULE_")
     }
     assert set(SCHEMA["definitions"]["rule"]["enum"]) == rules
+
+
+def test_the_schema_commands_are_the_cli_commands():
+    parser = build_parser()
+    [commands] = [
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    branches = [branch["if"]["properties"]["command"]["const"] for branch in SCHEMA["allOf"]]
+    assert SCHEMA["properties"]["command"]["enum"] == branches == list(commands)
 
 
 def test_usage_errors_exit_2(capsys):
