@@ -18,7 +18,9 @@ The rungs are of four kinds.  An oracle rung is one or more shapes, a k
 and a run of n, timed by the routes ``localization``
 (``chern.localization_integrals``, the sweep's verdict, one one-shape batch
 per shape for the whole run of n), ``batch`` (one call for all the rung's
-shapes together, as ``chern.flip_points`` makes per k and round) and ``expansion``
+shapes together: one pass per n over Gr(k, n) for every shape, as
+``chern.flip_points`` makes at most one per (k, n) for every pair pending
+there) and ``expansion``
 (``chern.top_chern_nonzero``, the truncated Schur expansion, one call per
 n), the latter two only on rungs marked for them; it also lists the
 predicted cost that the localization guard reads at the largest n

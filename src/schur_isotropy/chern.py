@@ -15,18 +15,20 @@ package import nor any decision loads them.
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
 torus-fixed points (Atiyah and Bott, Topology 1984), from each shape's
-weight_counts, by one pass per n that visits only the points whose sigma_1
-lift is not negative.  The bundle is globally generated, so the class is a
-nonnegative sum of Schubert classes (Fulton and Lazarsfeld, Ann. Math. 1983)
-and sigma_1^m meets each of them positively: the number is positive exactly
-when the class is nonzero.
+weight_counts, by one pass over Gr(k, n) per n for all the shapes asking
+for it, visiting only the points whose sigma_1 lift is not negative.  The
+bundle is globally generated, so the class is a nonnegative sum of
+Schubert classes (Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m
+meets each of them positively: the number is positive exactly when the
+class is nonzero.
 
 ``flip_points`` finds, per (shape, k), the first n at which the class is
 nonzero, from the sign of the localization integral; isotropy is monotone
-in n, so the class is nonzero at every larger n.  It is the only route to a
-yes/no verdict: ``isotropy.decide`` reads its k = 2 fallback from a search
-for its one pair, and ``isotropy.run_sweep`` reads its oracle column and
-its fallback from one search, which shares one weight table.
+in n, so the class is nonzero at every larger n.  A search packs each k's
+weights once and walks each Gr(k, n) at most once, for all its pairs there.
+It is the only route to a yes/no verdict: ``isotropy.decide`` reads its
+k = 2 fallback from a search for its one pair, and ``isotropy.run_sweep``
+reads its oracle column and its fallback from one search.
 ``top_chern_nonzero`` serves the ``oracle`` command's Schur coefficients.
 """
 
@@ -145,19 +147,6 @@ def _refuse_over_cap(k: int, n: int, degree: int) -> None:
         )
 
 
-def _pack(values: Iterable[int], offset: int, typecode: str) -> int:
-    """sum(v * 2^(w * lane)): the values as the w-bit lanes of one integer.
-
-    ``typecode`` is the signed array type of a lane and ``offset`` holds
-    2^(w-1) in every lane.  Packing is linear: sums and integer multiples of
-    packed integers pack the lane by lane sums and multiples, as long as
-    every lane stays within [-2^(w-1), 2^(w-1)).
-    """
-    half = 1 << 8 * array(typecode).itemsize - 1
-    unsigned = array(typecode.upper(), [v + half for v in values])
-    return int.from_bytes(unsigned.tobytes(), byteorder) - offset
-
-
 def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, int]:
     """{weight: the number of fillings with it}, the multiset of
     tableaux.weight_vectors, by the branching rule: W(shape, m) is the union
@@ -191,27 +180,98 @@ def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, 
     return built[shape]
 
 
+def _lanes(shapes: list[Partition], k: int, n: int, table: dict) -> tuple:
+    """(packed, offset, typecode, spans): the shapes' distinct weights (over
+    ``table``) as w-bit lanes, sum(v * 2^(w * lane)) per coordinate; offset
+    is 2^(w-1) in every lane, spans[shape] = (a, b, multiplicities) for its
+    lanes a..b-1.  Sums and multiples of packed integers pack the lane by lane
+    sums and multiples while each stays in [-2^(w-1), 2^(w-1)), as roots do."""
+    spans, columns = {}, [[] for _ in range(k)]
+    for shape in shapes:
+        weights, mults = zip(*weight_counts(shape, k, table).items())
+        a = len(columns[0])
+        for column, coordinates in zip(columns, zip(*weights)):
+            column.extend(coordinates)
+        spans[shape] = a, a + len(mults), mults
+    bound = max(map(sum, shapes)) * n  # a root w.t_I on Gr(k, n) is less in size
+    typecode = next(c for c in "hiq" if bound < 1 << 8 * array(c).itemsize - 1)
+    width, lanes = 8 * array(typecode).itemsize, len(columns[0])
+    offset = ((1 << width * lanes) - 1) // ((1 << width) - 1) << width - 1
+    unsigned = [array(typecode.upper(), [v + (1 << width - 1) for v in column])
+                for column in columns]
+    packed = [int.from_bytes(lane.tobytes(), byteorder) - offset for lane in unsigned]
+    return packed, offset, typecode, spans
+
+
+def _pass(k: int, n: int, batch: list, lanes: tuple) -> dict[Partition, int]:
+    """{shape: its integral on Gr(k, n)} for each (shape, degree) of ``batch``,
+    by one symmetric pass over the fixed points (see localization_integrals)
+    that reads the roots from ``lanes``, packed by _lanes for some n' >= n."""
+    packed, offset, typecode, spans = lanes
+    shapes = [(*spans[shape], k * (n - k) - degree) for shape, degree in batch]
+    # t_i = 2i - (n-1): twice the lanes' sums at t_i = i, less (n-1) times their sum
+    totals, shift = [0] * len(batch), offset - (n - 1) * sum(packed)
+    signed = [(-1) ** i * comb(n - 1, i) for i in range(n)]
+    size = offset.bit_length() // 8  # the top bit of offset is the last lane's
+    for point in combinations(range(n), k):
+        lift = 2 * sum(point) - k * (n - 1)
+        if lift < 0:
+            continue
+        # the offset makes every lane nonnegative, so none borrows from the
+        # next; flipping each lane's top bit then leaves its two's complement
+        partial = (2 * sum(map(mul, packed, point)) + shift) ^ offset
+        dots = array(typecode, partial.to_bytes(size, byteorder))
+        euler = None
+        for j, (a, b, mults, m) in enumerate(shapes):
+            roots = dots[a:b]
+            if 0 in roots or m and not lift:
+                continue
+            if euler is None:  # doubled when the lift is positive
+                s = point if 2 * k <= n else set(range(n)).difference(point)
+                v = prod(y - x for x, y in combinations(s, 2))
+                euler = v * v * prod(map(signed.__getitem__, s)) << (lift > 0)
+            totals[j] += lift ** m * prod(map(pow, roots, mults)) * euler
+    r = min(k, n - k)  # |S|
+    odd = (r * (r - 1) // 2 + k * (n - k) * (2 * k <= n)) % 2
+    denominator = factorial(n - 1) ** r << k * (n - k)
+    values = {}
+    for (shape, _), total in zip(batch, totals):
+        value, remainder = divmod(-total if odd else total, denominator)
+        if remainder:
+            raise InternalNonIntegral(
+                f"localization sum for {shape.as_text()} on Gr({k},{n}) is not"
+                f" divisible by ((n-1)!)^{r} * 2^{k * (n - k)}"
+            )
+        if value < 0:
+            raise InternalCheckError(
+                f"localization integral for {shape.as_text()} on Gr({k},{n}) is"
+                f" negative ({value})"
+            )
+        values[shape] = value
+    return values
+
+
 def localization_integrals(
     runs: Mapping[Partition, Iterable[int]], k: int, table: dict | None = None
 ) -> dict[Partition, dict[int, int]]:
     """{shape: {n: the degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on
     Gr(k, n)}} for each shape and n of ``runs``, a map from shape to its n.
 
-    Atiyah-Bott localization, one pass per n for the shapes that ask for it:
-    a fixed point of Gr(k, n) is a k-subset I of 0..n-1, where each weight w
-    of weight_counts (over ``table``, which callers may share) gives the Chern
-    root w.t_I, the lift of sigma_1 is the sum of t_I and the tangent weights
-    are t_j - t_i (i in I, j not in I).  The roots of a pass's shapes are the
-    lanes of one packed integer.  Any distinct t give the same integral, and
+    Atiyah-Bott localization, one pass over Gr(k, n) per n (_pass) for the
+    shapes asking for it, their roots the lanes of packed integers (_lanes): a
+    fixed point is a k-subset I of 0..n-1, where each weight w of weight_counts
+    (over ``table``, which callers may share) gives the Chern root w.t_I, the
+    lift of sigma_1 is the sum of t_I and the tangent weights are t_j - t_i
+    (i in I, j not in I).  Any distinct t give the same integral, and
     t_i = 2i - (n-1) are symmetric: n-1-I negates the roots, lift and tangent
     weights of I, 2k(n-k) signs, so a pass skips each point with a negative
     lift and counts one with a positive lift twice.  The inverse Euler class
     is then, up to a sign fixed by k and n, V(S)^2 * prod_{i in S} (-1)^i
     C(n-1, i) over ((n-1)!)^|S| * 2^(k(n-k)), S the smaller of I and its
     complement: the sum is of plain integers, with one exact division.  A
-    remainder or a negative value raises InternalCheckError.  Positive exactly
-    when the top Chern class is nonzero (see the module docstring); 0 without
-    work when D > k(n - k).  Raises SizeGuard before any work when
+    remainder or a negative value raises InternalCheckError.  Positive
+    exactly when the top Chern class is nonzero (see the module docstring);
+    0 without work when D > k(n - k).  Raises SizeGuard before any work when
     localization_cost at some (shape, n) exceeds LOCALIZATION_COST_CAP.
     """
     if k < 1:
@@ -232,57 +292,8 @@ def localization_integrals(
             passes.setdefault(n, []).append((shape, degree))
     table = {} if table is None else table
     for n, batch in passes.items():
-        # columns[s]: coordinate s of every shape's distinct weights, one lane each;
-        # per shape its lanes a..b-1, their multiplicities and its lift power
-        shapes, columns = [], [[] for _ in range(k)]
-        for shape, degree in batch:
-            weights, mults = zip(*weight_counts(shape, k, table).items())
-            a = len(columns[0])
-            for column, coordinates in zip(columns, zip(*weights)):
-                column.extend(coordinates)
-            shapes.append((a, a + len(mults), mults, k * (n - k) - degree))
-        # a root w.t_I is less than size * n in size
-        bound = max(shape.size for shape, _ in batch) * n
-        typecode = next(c for c in "hiq" if bound < 1 << 8 * array(c).itemsize - 1)
-        width, lanes = 8 * array(typecode).itemsize, len(columns[0])
-        offset = ((1 << width * lanes) - 1) // ((1 << width) - 1) << width - 1
-        packed = [_pack(column, offset, typecode) for column in columns]
-        # t_i = 2i - (n-1): twice the lanes' sums at t_i = i, less (n-1) times their sum
-        totals, shift = [0] * len(batch), offset - (n - 1) * sum(packed)
-        signed = [(-1) ** i * comb(n - 1, i) for i in range(n)]
-        for point in combinations(range(n), k):
-            lift = 2 * sum(point) - k * (n - 1)
-            if lift < 0:
-                continue
-            # the offset makes every lane nonnegative, so none borrows from the
-            # next; flipping each lane's top bit then leaves its two's complement
-            partial = (2 * sum(map(mul, packed, point)) + shift) ^ offset
-            dots = array(typecode, partial.to_bytes(lanes * width // 8, byteorder))
-            euler = None
-            for j, (a, b, mults, m) in enumerate(shapes):
-                roots = dots[a:b]
-                if 0 in roots or m and not lift:
-                    continue
-                if euler is None:  # doubled when the lift is positive
-                    s = point if 2 * k <= n else set(range(n)).difference(point)
-                    v = prod(y - x for x, y in combinations(s, 2))
-                    euler = v * v * prod(map(signed.__getitem__, s)) << (lift > 0)
-                totals[j] += lift ** m * prod(map(pow, roots, mults)) * euler
-        r = min(k, n - k)  # |S|
-        odd = (r * (r - 1) // 2 + k * (n - k) * (2 * k <= n)) % 2
-        denominator = factorial(n - 1) ** r << k * (n - k)
-        for (shape, _), total in zip(batch, totals):
-            value, remainder = divmod(-total if odd else total, denominator)
-            if remainder:
-                raise InternalNonIntegral(
-                    f"localization sum for {shape.as_text()} on Gr({k},{n}) is not"
-                    f" divisible by ((n-1)!)^{r} * 2^{k * (n - k)}"
-                )
-            if value < 0:
-                raise InternalCheckError(
-                    f"localization integral for {shape.as_text()} on Gr({k},{n}) is"
-                    f" negative ({value})"
-                )
+        lanes = _lanes([shape for shape, _ in batch], k, n, table)
+        for shape, value in _pass(k, n, batch, lanes).items():
             values[shape][n] = value
     return values
 
@@ -294,39 +305,38 @@ def flip_points(
     Gr(k, n) is nonzero, or max_n + 1 when there is none} for each pair of
     ``degrees``, a map from (shape, k) to its class degree D.
 
-    Isotropy is monotone in n (the forms on C^n with an isotropic k-plane
-    are closed, so when the generic one has such a plane every one does,
-    and every form on C^(n+1) restricts to one of them on a hyperplane), so
-    each pair reads zero below one flip point and nonzero from it on.
-    Below n0 = k + ceil(D/k) the class degree exceeds dim Gr(k, n) and the
-    class is zero without work, so a pair starts at max(k + 1, n0).  Each
-    round makes one localization_integrals call per k that asks every pair
-    still pending there for one n, and a pair leaves at its first positive
-    value.  All calls share one weight table.  A round checks every
-    candidate's localization_cost, in call order, before its first call, so
-    one over LOCALIZATION_COST_CAP raises the sum's SizeGuard before the
-    round does any work.
+    Isotropy is monotone in n (see the README), so each pair reads zero
+    below one flip point and nonzero from it on.  Below n0 = k + ceil(D/k)
+    the class degree exceeds dim Gr(k, n) and the class is zero without
+    work, so a pair is asked at each n from max(k + 1, n0) to its first
+    positive value.  Each Gr(k, n) is walked at most once: a round makes one
+    pass per k, at its least pending n, for every pair pending there, and
+    each k's weights are packed once, in its first round, wide enough for
+    max_n.  A round first checks the localization_cost of every pending
+    pair's candidate (k by first appearance, then pair order), so one over
+    LOCALIZATION_COST_CAP raises SizeGuard before the round does any work.
     """
-    flips = {
-        (shape, k): min(max(k + 1, k - (-degree // k)), max_n + 1)
-        for (shape, k), degree in degrees.items()
-    }
-    pending, table = [pair for pair in degrees if flips[pair] <= max_n], {}
+    flips, pending, lanes, table = {}, {}, {}, {}
+    for (shape, k), degree in degrees.items():
+        if len(shape) > k:
+            raise ZeroBundle(
+                f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
+            )
+        flips[shape, k] = min(max(k + 1, k - (-degree // k)), max_n + 1)
+        if flips[shape, k] <= max_n:
+            pending.setdefault(k, []).append(shape)
     while pending:
-        asked, nonzero = {}, {}
-        for shape, k in pending:
-            asked.setdefault(k, {})[shape] = [flips[shape, k]]
-        for k, runs in asked.items():  # every call of the round, before the first
-            for shape, [n] in runs.items():
-                _refuse_over_cap(k, n, degrees[shape, k])
-        for k, runs in asked.items():
-            values = localization_integrals(runs, k, table)
-            for shape, [n] in runs.items():
-                nonzero[shape, k] = values[shape][n] > 0
-        for pair in pending:
-            if not nonzero[pair]:
-                flips[pair] += 1
-        pending = [
-            pair for pair in pending if not nonzero[pair] and flips[pair] <= max_n
-        ]
+        for k, shapes in pending.items():  # every candidate, before any pass
+            for shape in shapes:
+                _refuse_over_cap(k, flips[shape, k], degrees[shape, k])
+        for k, shapes in pending.items():
+            if k not in lanes:  # the first round, where every pair at k is pending
+                lanes[k] = _lanes(shapes, k, max_n, table)
+            n = min(flips[shape, k] for shape in shapes)
+            batch = [(s, degrees[s, k]) for s in shapes if flips[s, k] == n]
+            for shape, value in _pass(k, n, batch, lanes[k]).items():
+                flips[shape, k] += not value
+                if value or n == max_n:
+                    shapes.remove(shape)
+        pending = {k: shapes for k, shapes in pending.items() if shapes}
     return flips

@@ -3,8 +3,9 @@
 A command is one COMMANDS entry (help line, ARGUMENTS groups, handler) plus its
 branch in schemas/output.schema.json.  run prints the handler's Output as an
 aligned table (default) or a JSON envelope (--json), byte-deterministic for
-identical argv: big integers are decimal strings and timing_ms stays 0 unless
---timing is given.  A handler whose layer the package import leaves out
+identical argv: big integers are decimal strings, timing_ms stays 0 unless
+--timing is given, and help and usage errors wrap at 78 columns whatever the
+terminal width.  A handler whose layer the package import leaves out
 (proofs, sympoly) imports it in its body, so a command compiles only what it runs.
 """
 
@@ -35,18 +36,26 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+def _least_int(text: str, least: int, kind: str) -> int:
+    """int(text) when it is at least ``least``; argparse prints the message
+    of any other text as the argument's usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a {kind} integer, got {text!r}"
+        ) from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _least_int(text, 1, "positive")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+    return _least_int(text, 0, "nonnegative")
 
 
 # (group, flag, add_argument options) in usage order; a command takes the
@@ -232,14 +241,22 @@ COMMANDS = {
 }
 
 
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    """Help and usage wrapped at 78 columns, what an 80-column terminal gives,
+    whatever the terminal or COLUMNS says."""
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="schur-isotropy", description=(
-        "Decide whether a generic form with a given Young-type symmetry"
-        " vanishes on some k-dimensional subspace of C^n."
-    ))
+    parser = argparse.ArgumentParser(
+        prog="schur-isotropy", formatter_class=_formatter, description=(
+            "Decide whether a generic form with a given Young-type symmetry"
+            " vanishes on some k-dimensional subspace of C^n."
+        ),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, groups, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+        p = sub.add_parser(name, help=help_line, formatter_class=_formatter)
         for group, flag, options in ARGUMENTS:
             if group in groups.split() or group == "output":
                 p.add_argument(flag, **options)

@@ -119,11 +119,12 @@ def _route(
     rows = len(shape)
 
     if rows > k:
-        return lambda n: Verdict(
+        trivial = Verdict(
             True, RULE_TRIVIAL, None,
             f"shape has {rows} rows > k={k}: the module over any k-plane is zero,"
             " so every form restricts to zero",
         )
+        return lambda n: trivial
 
     if shape == (1,):
         t, rule = k + 1, RULE_DEGREE_1
@@ -144,6 +145,8 @@ def _route(
             f"alternating {d}-forms are isotropic iff n >= C({k},{d})/{k} + {k};"
             f" minimal n = {t}"
         )
+        tevelev = [Verdict(isotropic, RULE_TEVELEV_SKEW, t, detail)
+                   for isotropic in (False, True)]
 
         def single_column(n: int) -> Verdict:
             if d == n - 2 and n % 2 == 0:
@@ -157,7 +160,7 @@ def _route(
                     k <= 4, RULE_EXCEPTION_SKEW_3_N7, None,
                     "alternating 3-forms on C^7 are isotropic iff k <= 4",
                 )
-            return Verdict(n >= t, RULE_TEVELEV_SKEW, t, detail)
+            return tevelev[n >= t]
 
         return single_column
     elif rows == 1:
@@ -186,7 +189,8 @@ def _route(
 
         return fallback
 
-    return lambda n: Verdict(n >= t, rule, t, detail)
+    verdicts = [Verdict(isotropic, rule, t, detail) for isotropic in (False, True)]
+    return lambda n: verdicts[n >= t]
 
 
 def min_isotropic_n(shape: Partition, k: int) -> int:

@@ -112,7 +112,10 @@ def horizontal_strip_predecessors(shape: Partition) -> list[Partition]:
     for i, width in enumerate(shape):
         low = shape[i + 1] if i + 1 < len(shape) else 0
         ranges.append(range(low, width + 1))
-    return sorted((Partition(choice) for choice in product(*ranges)), reverse=True)
+    # each choice is weakly decreasing with positive parts but perhaps the
+    # last, so dropping a last 0 leaves it valid without the validation
+    strips = [choice if choice[-1] else choice[:-1] for choice in product(*ranges)]
+    return sorted((tuple.__new__(Partition, mu) for mu in strips), reverse=True)
 
 
 def strip_full_height_columns(shape: Partition) -> Partition:

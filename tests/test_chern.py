@@ -187,6 +187,11 @@ def test_localization_integral_shortcuts_and_guards():
     assert integral(Partition((1,)), 300, 301) == 1
 
 
+def test_a_flip_search_refuses_a_shape_with_more_rows_than_k():
+    with pytest.raises(ZeroBundle, match=r"^shape 1,1,1 has more than k=2 rows"):
+        chern.flip_points({(Partition((2,)), 2): 3, (Partition((1, 1, 1)), 2): 3}, 6)
+
+
 def _no_expansion(*args, **kwargs):
     raise AssertionError("the sweep fell back to the expansion")
 
@@ -232,16 +237,59 @@ def test_a_round_over_the_cost_cap_sums_nothing(monkeypatch):
     # refuses before its k = 3 sum starts
     skew, cubic = Partition((1, 1)), Partition((1, 1, 1))
     monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", chern.localization_cost(5, 7, 10))
-    true_sum, calls = chern.localization_integrals, []
+    true_pass, calls = chern._pass, []
 
-    def counted(runs, k, *args, **kwargs):
-        calls.append((k, {shape: list(ns) for shape, ns in runs.items()}))
-        return true_sum(runs, k, *args, **kwargs)
+    def counted(k, n, batch, *args):
+        calls.append((k, {shape: [n] for shape, _ in batch}))
+        return true_pass(k, n, batch, *args)
 
-    monkeypatch.setattr(chern, "localization_integrals", counted)
+    monkeypatch.setattr(chern, "_pass", counted)
     with pytest.raises(SizeGuard, match=r"^localization on Gr\(5,8\) predicts cost 1400 "):
         chern.flip_points({(skew, 3): 3, (cubic, 5): 10}, 9)
     assert calls == [(3, {skew: [4]}), (5, {cubic: [7]})]
+
+
+def test_an_over_cap_first_candidate_at_a_later_k_refuses_before_any_pass(monkeypatch):
+    # (1,1) at k = 3 starts at n = 4, well under the cap; (1,1,1) at k = 5
+    # starts at n = 7, just over it: the search refuses before the k = 3 pass
+    skew, cubic = Partition((1, 1)), Partition((1, 1, 1))
+    monkeypatch.setattr(
+        chern, "LOCALIZATION_COST_CAP", chern.localization_cost(5, 7, 10) - 1
+    )
+    true_pass, calls = chern._pass, []
+
+    def counted(k, n, batch, *args):
+        calls.append((k, n))
+        return true_pass(k, n, batch, *args)
+
+    monkeypatch.setattr(chern, "_pass", counted)
+    with pytest.raises(SizeGuard, match=r"^localization on Gr\(5,7\) "):
+        chern.flip_points({(skew, 3): 3, (cubic, 5): 10}, 9)
+    assert calls == []
+
+
+def test_a_flip_search_walks_each_grassmannian_once(monkeypatch):
+    # on the 11 sweep-oracle windows each (k, n) gets one pass at most, where
+    # asking every pending pair at its own candidate in every round made 227
+    true_pass, walked = chern._pass, []
+
+    def counted(k, n, batch, *args):
+        walked.append((k, n))
+        return true_pass(k, n, batch, *args)
+
+    monkeypatch.setattr(chern, "_pass", counted)
+    passes = {}
+    for window in (
+        (size, k, n) for size in (4, 5) for k in (4, 5) for n in (8, 9, 10)
+        if (size, k, n) != (5, 5, 10)
+    ):
+        walked.clear()
+        run_sweep(*window, with_oracle=True)
+        assert max(Counter(walked).values()) == 1, window
+        passes[window] = len(walked)
+    assert len(passes) == 11
+    assert sum(passes.values()) == 170
+    assert passes[5, 5, 9] == 18
 
 
 def test_the_flip_reading_equals_the_values_at_every_n():
@@ -291,14 +339,14 @@ def test_a_wide_sweep_asks_only_near_each_flip(monkeypatch):
     # each (shape, k) asks for n from its degree bound up to its first
     # positive value, however far the window reaches
     asked = Counter()
-    true_integrals = chern.localization_integrals
+    true_pass = chern._pass
 
-    def recording(runs, k, *args, **kwargs):
-        for shape, ns in runs.items():
-            asked[shape, k] += len(ns)
-        return true_integrals(runs, k, *args, **kwargs)
+    def recording(k, n, batch, *args):
+        for shape, _ in batch:
+            asked[shape, k] += 1
+        return true_pass(k, n, batch, *args)
 
-    monkeypatch.setattr(chern, "localization_integrals", recording)
+    monkeypatch.setattr(chern, "_pass", recording)
     cases = run_sweep(3, 6, 40, with_oracle=True)
     assert len(cases) == 1159
     assert sum(case.oracle_nonzero is not None for case in cases) == 1091

@@ -139,15 +139,15 @@ def test_sweep_json_small_grid_agrees(capsys):
 def test_sweep_exit_code_on_disagreement(capsys, monkeypatch):
     # zero the sweep's oracle at a single case; the sweep must report that
     # one disagreement through the dedicated exit code
-    true_oracle = chern.localization_integrals
+    true_pass = chern._pass
 
-    def zeroed_oracle(runs, k, *args, **kwargs):
-        values = true_oracle(runs, k, *args, **kwargs)
-        if k == 2 and 3 in values.get((1, 1), {}):
-            values[(1, 1)][3] = 0
+    def zeroed_oracle(k, n, batch, *args):
+        values = true_pass(k, n, batch, *args)
+        if k == 2 and n == 3 and (1, 1) in values:
+            values[(1, 1)] = 0
         return values
 
-    monkeypatch.setattr(chern, "localization_integrals", zeroed_oracle)
+    monkeypatch.setattr(chern, "_pass", zeroed_oracle)
     code, envelope = run_json(
         capsys,
         ["sweep", "--max-size", "2", "--max-k", "2", "--max-n", "4", "--with-oracle"],
@@ -268,6 +268,10 @@ ERROR_OUTPUTS = [
      "365de8f355600fd8bc25637d4421c6c79e16af5616c4628bd95e2d1530c52c74"),
     (["sweep", "--max-size", "0"], 2,
      "e8369f4b3b34e1190e2c08b07872734667db83d1b443ab0871a00fa27c6974c9"),
+    (["dim", "--lambda", "2,1", "--n", "z"], 2,
+     "3c2f180e37b358e04c588bcab5129aa48164778d78889e3207a50d7bf1be2cd5"),
+    (["decide", "--lambda", "2,1", "--k", "1.5", "--n", "6"], 2,
+     "b0fe26c475c63c1af145861e9d2fd89ad1b8ada19389ced3681b415d240c5ed7"),
 ]
 
 
@@ -277,6 +281,26 @@ def test_error_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
     assert run(argv) == code
     captured = capsys.readouterr()
     assert (captured.out, sha256(captured.err)) == ("", digest)
+
+
+def test_help_and_usage_errors_do_not_depend_on_the_terminal_width(
+    capsys, monkeypatch
+):
+    seen = set()
+    for columns in ("60", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(["decide", "--help"]) == 0
+        assert run(["decide", "--lambda", "2,1", "--k", "0", "--n", "6"]) == 2
+        captured = capsys.readouterr()
+        seen.add((captured.out, captured.err))
+    assert len(seen) == 1
+
+
+def test_a_non_integer_names_the_expected_integer(capsys):
+    assert run(["dim", "--lambda", "2,1", "--n", "z"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --n: expected a nonnegative integer, got 'z'\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _, _ in HUMAN_OUTPUTS])
