@@ -24,8 +24,9 @@ class is nonzero.
 
 ``flip_points`` finds, per (shape, k), the first n at which the class is
 nonzero, from the sign of the localization integral; isotropy is monotone
-in n, so the class is nonzero at every larger n.  A search packs each k's
-weights once and walks each Gr(k, n) at most once, for all its pairs there.
+in n, so the class is nonzero at every larger n.  A search walks each
+Gr(k, n) at most once, for all its pairs there, and packs each k's weights
+once per lane width its passes need.
 It is the only route to a yes/no verdict: ``isotropy.decide`` reads its
 k = 2 fallback from a search for its one pair, and ``isotropy.run_sweep``
 reads its oracle column and its fallback from one search.
@@ -99,10 +100,7 @@ def top_chern_nonzero(
     if k < 1 or k > n:
         raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
     shape = Partition(shape)
-    if len(shape) > k:
-        raise ZeroBundle(
-            f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
-        )
+    _refuse_zero_bundle(shape, k)
     degree = schur_ones_hook_content(shape, k)
     if degree > k * (n - k):
         return ChernVerdict(False, degree, (), SHORTCUT_DEGREE)
@@ -147,6 +145,14 @@ def _refuse_over_cap(k: int, n: int, degree: int) -> None:
         )
 
 
+def _refuse_zero_bundle(shape: Partition, k: int) -> None:
+    """Raise ZeroBundle when shape has more than k rows."""
+    if len(shape) > k:
+        raise ZeroBundle(
+            f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
+        )
+
+
 def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, int]:
     """{weight: the number of fillings with it}, the multiset of
     tableaux.weight_vectors, by the branching rule: W(shape, m) is the union
@@ -181,11 +187,12 @@ def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, 
 
 
 def _lanes(shapes: list[Partition], k: int, n: int, table: dict) -> tuple:
-    """(packed, offset, typecode, spans): the shapes' distinct weights (over
-    ``table``) as w-bit lanes, sum(v * 2^(w * lane)) per coordinate; offset
-    is 2^(w-1) in every lane, spans[shape] = (a, b, multiplicities) for its
-    lanes a..b-1.  Sums and multiples of packed integers pack the lane by lane
-    sums and multiples while each stays in [-2^(w-1), 2^(w-1)), as roots do."""
+    """(packed, offset, typecode, spans, reach): the shapes' distinct weights
+    (over ``table``) as w-bit lanes, sum(v * 2^(w * lane)) per coordinate, w
+    the least width for their roots on Gr(k, n), which holds them up to Gr(k, reach);
+    offset is 2^(w-1) in every lane, spans[shape] = (a, b, multiplicities) for
+    its lanes a..b-1.  Sums and multiples of packed integers pack the lane by
+    lane sums and multiples while each stays in [-2^(w-1), 2^(w-1)), as roots do."""
     spans, columns = {}, [[] for _ in range(k)]
     for shape in shapes:
         weights, mults = zip(*weight_counts(shape, k, table).items())
@@ -193,21 +200,21 @@ def _lanes(shapes: list[Partition], k: int, n: int, table: dict) -> tuple:
         for column, coordinates in zip(columns, zip(*weights)):
             column.extend(coordinates)
         spans[shape] = a, a + len(mults), mults
-    bound = max(map(sum, shapes)) * n  # a root w.t_I on Gr(k, n) is less in size
-    typecode = next(c for c in "hiq" if bound < 1 << 8 * array(c).itemsize - 1)
+    size = max(1, *map(sum, shapes))  # a root w.t_I on Gr(k, n) is less than size * n
+    typecode = next(c for c in "hiq" if size * n < 1 << 8 * array(c).itemsize - 1)
     width, lanes = 8 * array(typecode).itemsize, len(columns[0])
     offset = ((1 << width * lanes) - 1) // ((1 << width) - 1) << width - 1
     unsigned = [array(typecode.upper(), [v + (1 << width - 1) for v in column])
                 for column in columns]
     packed = [int.from_bytes(lane.tobytes(), byteorder) - offset for lane in unsigned]
-    return packed, offset, typecode, spans
+    return packed, offset, typecode, spans, ((1 << width - 1) - 1) // size
 
 
 def _pass(k: int, n: int, batch: list, lanes: tuple) -> dict[Partition, int]:
     """{shape: its integral on Gr(k, n)} for each (shape, degree) of ``batch``,
     by one symmetric pass over the fixed points (see localization_integrals)
-    that reads the roots from ``lanes``, packed by _lanes for some n' >= n."""
-    packed, offset, typecode, spans = lanes
+    that reads the roots from ``lanes``, packed by _lanes with reach >= n."""
+    packed, offset, typecode, spans, _ = lanes
     shapes = [(*spans[shape], k * (n - k) - degree) for shape, degree in batch]
     # t_i = 2i - (n-1): twice the lanes' sums at t_i = i, less (n-1) times their sum
     totals, shift = [0] * len(batch), offset - (n - 1) * sum(packed)
@@ -281,10 +288,7 @@ def localization_integrals(
         shape, ns = Partition(shape), sorted(set(ns))
         if ns and ns[0] < k:
             raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={ns[0]}")
-        if len(shape) > k:
-            raise ZeroBundle(
-                f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
-            )
+        _refuse_zero_bundle(shape, k)
         degree = schur_ones_hook_content(shape, k)
         values[shape] = dict.fromkeys(ns, 0)
         for n in (n for n in ns if shape and degree <= k * (n - k)):
@@ -310,18 +314,14 @@ def flip_points(
     the class degree exceeds dim Gr(k, n) and the class is zero without
     work, so a pair is asked at each n from max(k + 1, n0) to its first
     positive value.  Each Gr(k, n) is walked at most once: a round makes one
-    pass per k, at its least pending n, for every pair pending there, and
-    each k's weights are packed once, in its first round, wide enough for
-    max_n.  A round first checks the localization_cost of every pending
+    pass per k, at its least pending n, for every pair pending there.  Each
+    k's weights are packed at its first pass and again when a later n needs
+    wider lanes.  A round first checks the localization_cost of every pending
     pair's candidate (k by first appearance, then pair order), so one over
     LOCALIZATION_COST_CAP raises SizeGuard before the round does any work.
     """
     flips, pending, lanes, table = {}, {}, {}, {}
     for (shape, k), degree in degrees.items():
-        if len(shape) > k:
-            raise ZeroBundle(
-                f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
-            )
         flips[shape, k] = min(max(k + 1, k - (-degree // k)), max_n + 1)
         if flips[shape, k] <= max_n:
             pending.setdefault(k, []).append(shape)
@@ -330,9 +330,11 @@ def flip_points(
             for shape in shapes:
                 _refuse_over_cap(k, flips[shape, k], degrees[shape, k])
         for k, shapes in pending.items():
-            if k not in lanes:  # the first round, where every pair at k is pending
-                lanes[k] = _lanes(shapes, k, max_n, table)
             n = min(flips[shape, k] for shape in shapes)
+            if k not in lanes or lanes[k][-1] < n:  # first, or past its width
+                for shape in shapes:
+                    _refuse_zero_bundle(shape, k)
+                lanes[k] = _lanes(shapes, k, n, table)
             batch = [(s, degrees[s, k]) for s in shapes if flips[s, k] == n]
             for shape, value in _pass(k, n, batch, lanes[k]).items():
                 flips[shape, k] += not value

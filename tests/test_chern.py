@@ -192,6 +192,32 @@ def test_a_flip_search_refuses_a_shape_with_more_rows_than_k():
         chern.flip_points({(Partition((2,)), 2): 3, (Partition((1, 1, 1)), 2): 3}, 6)
 
 
+def test_a_flip_search_asks_no_rows_of_a_pair_past_max_n():
+    # (1,1,1) at k = 2 would start at n = 4, past max_n = 2: it is never asked
+    assert chern.flip_points({(Partition((1, 1, 1)), 2): 3}, 2) == {
+        (Partition((1, 1, 1)), 2): 3
+    }
+
+
+def test_a_flip_search_packs_for_the_n_it_walks(monkeypatch):
+    # max_n = 10^19 does not size the lanes: (1,) flips at n = 3 on 2-byte
+    # lanes, and (260,) at 2 + ceil(261/2) = 133, past their reach, on 4-byte
+    # lanes packed again for it
+    small, long = Partition((1,)), Partition((260,))
+    true_lanes, packed = chern._lanes, []
+
+    def recording(shapes, k, n, table):
+        lanes = true_lanes(shapes, k, n, table)
+        packed.append((k, n, lanes[2]))
+        return lanes
+
+    monkeypatch.setattr(chern, "_lanes", recording)
+    degrees = {(shape, 2): schur_ones_hook_content(shape, 2) for shape in (small, long)}
+    assert chern.flip_points(degrees, 10**19) == {(small, 2): 3, (long, 2): 133}
+    assert packed == [(2, 3, "h"), (2, 133, "i")]
+    assert decide(Partition((2, 2)), 2, 10**19).isotropic
+
+
 def _no_expansion(*args, **kwargs):
     raise AssertionError("the sweep fell back to the expansion")
 

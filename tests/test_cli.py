@@ -42,6 +42,16 @@ def test_decide_json_matches_published_shape(capsys):
     assert result["threshold_n"] == 6
 
 
+def test_decide_answers_at_an_n_past_every_lane_width(capsys):
+    # the k = 2 fallback at n = 10^19 flips at n = 3; its lanes fit that n
+    code, envelope = run_json(
+        capsys, ["decide", "--lambda", "2,2", "--k", "2", "--n", str(10**19)]
+    )
+    assert code == 0
+    assert envelope["result"]["isotropic"] is True
+    assert envelope["result"]["rule"] == "oracle-fallback"
+
+
 def test_decide_json_omits_threshold_for_k_rules(capsys):
     code, envelope = run_json(
         capsys, ["decide", "--lambda", "1,1,1", "--k", "5", "--n", "7"]
