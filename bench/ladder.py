@@ -4,8 +4,11 @@ Run from the repository root:
 
     python3 bench/ladder.py OUT.json [--base TREE]
 
-Each (rung, route) runs REPEATS times, each in a fresh interpreter that
-imports the package from ``src/`` and times only the calls.  With
+Each (rung, route) runs at least MIN_REPEATS times, and on until its runs
+have taken MIN_SECONDS of wall time, interpreter starts included, so a rung
+of a few milliseconds gets enough repeats to outlast CPU-speed drift.  Each
+run is a fresh interpreter that imports the package from ``src/`` and times
+only the calls.  With
 ``--base``, a second source tree (a checkout of another commit, whose
 ``src/`` is imported instead) is timed in the same run: every repeat times
 both trees back to back, the order alternating from one repeat to the next,
@@ -51,10 +54,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 5
+MIN_REPEATS = 5
+MIN_SECONDS = 3.0
 
 # (the shapes, or a size standing for every shape up to it with at most k
 # rows; k; the run of n; the routes beside localization)
@@ -184,12 +189,14 @@ def commit_of(tree: Path) -> str:
 def timed(route: str, spec, base: Path | None) -> tuple[dict, list[dict], list[dict]]:
     """Time one (rung, route) on this tree and, paired and alternating, on base."""
     runs, base_runs = [], []
-    for repeat in range(REPEATS):
+    repeat, start = 0, time.perf_counter()
+    while repeat < MIN_REPEATS or time.perf_counter() - start < MIN_SECONDS:
         if base is not None and repeat % 2:
             base_runs.append(time_once(base, route, spec))
         runs.append(time_once(ROOT, route, spec))
         if base is not None and not repeat % 2:
             base_runs.append(time_once(base, route, spec))
+        repeat += 1
     seconds = [round(run["s"], 4) for run in runs]
     entry = {"seconds": seconds, "median_s": round(statistics.median(seconds), 4)}
     if base is not None:
@@ -265,7 +272,8 @@ def main() -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "repeats": REPEATS,
+        "min_repeats": MIN_REPEATS,
+        "min_seconds": MIN_SECONDS,
     }
     if base is not None:
         report["base_commit"] = commit_of(base)

@@ -27,9 +27,8 @@ nonzero, from the sign of the localization integral; isotropy is monotone
 in n, so the class is nonzero at every larger n.  A search walks each
 Gr(k, n) at most once, for all its pairs there, and packs each k's weights
 once per lane width its passes need.
-It is the only route to a yes/no verdict: ``isotropy.decide`` reads its
-k = 2 fallback from a search for its one pair, and ``isotropy.run_sweep``
-reads its oracle column and its fallback from one search.
+``isotropy.run_sweep`` reads its oracle column from one search; no
+decision rule reads this module.
 ``top_chern_nonzero`` serves the ``oracle`` command's Schur coefficients.
 """
 

@@ -17,7 +17,6 @@ from schur_isotropy.cli import run
 from schur_isotropy.isotropy import (
     RULE_EXCEPTION_SKEW_3_N7,
     RULE_MAIN,
-    RULE_ORACLE_FALLBACK,
     decide,
     run_sweep,
 )
@@ -170,13 +169,10 @@ def test_criterion_6_decision_oracle_agreement_sweep():
     disagreements = [
         (tuple(c.shape), c.k, c.n, c.rule, c.isotropic, c.oracle_nonzero)
         for c in cases
-        if c.rule != RULE_ORACLE_FALLBACK and c.agree is False
+        if c.agree is False
     ]
     elapsed = time.perf_counter() - start
-    compared = sum(
-        1 for c in cases
-        if c.rule != RULE_ORACLE_FALLBACK and c.oracle_nonzero is not None
-    )
+    compared = sum(1 for c in cases if c.oracle_nonzero is not None)
     ok = not disagreements and elapsed < 600.0
     _report(6, f"decision rules vs oracle on {compared} compared instances", ok)
     assert elapsed < 600.0, f"took {elapsed:.2f}s"

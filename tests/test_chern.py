@@ -445,11 +445,10 @@ def test_wide_roots_take_wider_lanes():
 
 
 def test_the_oracle_fallback_agrees_with_the_sweep_column():
-    # at k = 2 with a two-row shape the verdict and the sweep column both
-    # come from the localization sum; criterion 6 leaves these cases out,
-    # so they are pinned here.  The sweep reads both from one search over
-    # its pairs, so each case is also held against a direct decide call,
-    # which searches its one pair up to its one n
+    # at k = 2 with a two-row shape the verdict comes from the degree bound
+    # and the sweep column from the localization sum, so each case is an
+    # independent check of the ampleness lemma; each is also held against a
+    # direct decide call
     fallback = [
         case for case in run_sweep(5, 5, 9, with_oracle=True)
         if case.rule == RULE_ORACLE_FALLBACK
@@ -463,8 +462,8 @@ def test_the_oracle_fallback_agrees_with_the_sweep_column():
 
 
 def test_the_sweep_neither_expands_nor_walks_below_the_cost_cap(monkeypatch):
-    # the sweep's oracle column and its k = 2 fallback both come from the
-    # localization sum over the weight table
+    # the sweep's oracle column comes from the localization sum over the
+    # weight table
     windows = [
         (size, k, n) for size in (4, 5) for k in (4, 5) for n in (8, 9, 10)
         if (size, k, n) != (5, 5, 10)

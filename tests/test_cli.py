@@ -43,13 +43,26 @@ def test_decide_json_matches_published_shape(capsys):
 
 
 def test_decide_answers_at_an_n_past_every_lane_width(capsys):
-    # the k = 2 fallback at n = 10^19 flips at n = 3; its lanes fit that n
+    # the k = 2 two-row rule answers n = 10^19 from the degree bound, n >= 3
     code, envelope = run_json(
         capsys, ["decide", "--lambda", "2,2", "--k", "2", "--n", str(10**19)]
     )
     assert code == 0
     assert envelope["result"]["isotropic"] is True
     assert envelope["result"]["rule"] == "oracle-fallback"
+
+
+def test_the_k2_two_row_corner_answers_far_past_the_localization_cap(capsys):
+    # dimension 1999 fits Gr(2, n) from n = 1002 on; a localization sum
+    # there would be over its cost cap, and the degree bound needs none
+    code, envelope = run_json(
+        capsys, ["decide", "--lambda", "2000,2", "--k", "2", "--n", "2000"]
+    )
+    assert code == 0
+    assert envelope["result"]["isotropic"] is True
+    code, envelope = run_json(capsys, ["min-n", "--lambda", "2000,2", "--k", "2"])
+    assert code == 0
+    assert envelope["result"]["min_isotropic_n"] == 1002
 
 
 def test_decide_json_omits_threshold_for_k_rules(capsys):

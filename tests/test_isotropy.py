@@ -143,10 +143,11 @@ def test_decide_oracle_fallback_for_k2():
     assert decide(Partition((2, 2)), 2, 3).isotropic is True
     # dimension 49, past the sweep's dimension cap of 40
     assert decide(Partition((50, 2)), 2, 30)[:2] == (True, RULE_ORACLE_FALLBACK)
-    # the sum at the first candidate, n = 502, is far over the cost cap
+    # the degree bound answers without a sum: dimension 999 fits Gr(2, n)
+    # from n = 502 on, where the localization sum would be far over its cap
     start = perf_counter()
-    with pytest.raises(SizeGuard):
-        decide(Partition((1000, 2)), 2, 600)
+    assert decide(Partition((1000, 2)), 2, 600)[:2] == (True, RULE_ORACLE_FALLBACK)
+    assert min_isotropic_n(Partition((1000, 2)), 2) == 502
     assert perf_counter() - start < 1
 
 
@@ -157,6 +158,13 @@ def test_two_row_shapes_at_k2_flip_at_the_degree_bound():
     for a in range(2, 26):
         for b in range(1, a + 1):
             assert min_isotropic_n(Partition((a, b)), 2) == 2 + -(-(a - b + 1) // 2)
+    # the rule reads that formula, so the localization sum pins it apart
+    degrees = {
+        (Partition((a, b)), 2): schur_ones_hook_content(Partition((a, b)), 2)
+        for a in range(2, 41) for b in range(1, a + 1)
+    }
+    for (shape, _), flip in chern.flip_points(degrees, 30).items():
+        assert flip == 2 + -(-(shape[0] - shape[1] + 1) // 2), shape
 
 
 def test_decide_validation():
@@ -373,17 +381,35 @@ def test_one_routing_per_pair_gives_the_verdicts_of_decide():
 
 
 def test_a_sweep_raises_what_decide_raises(monkeypatch):
-    # the k = 2 fallback reads the localization sum; with its cap lowered,
+    # the oracle column reads the localization sum; with its cap lowered,
     # (3,1) at k = 2 (dimension 3) is refused at its first candidate n = 4
     monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", 41)
-    with pytest.raises(SizeGuard) as direct:
-        decide(Partition((3, 1)), 2, 5)
-    assert str(direct.value).startswith("localization on Gr(2,4) predicts cost 42 ")
+    with pytest.raises(SizeGuard) as swept:
+        run_sweep(4, 2, 5, with_oracle=True)
+    assert str(swept.value).startswith("localization on Gr(2,4) predicts cost 42 ")
     for oracle in (False, True):
-        with pytest.raises(SizeGuard) as swept:
-            run_sweep(4, 2, 5, with_oracle=oracle)
-        assert str(swept.value) == str(direct.value)
         # windows with no n above k = 2, or no k = 2, decide only k = 1
         for window in ((4, 2, 2), (4, 1, 5)):
             cases = run_sweep(*window, with_oracle=oracle)
             assert cases and all(case.k == 1 for case in cases), window
+
+
+def test_decisions_and_a_sweep_without_the_oracle_sum_nothing(monkeypatch):
+    # decide and min_isotropic_n answer the k = 2 two-row corner by the
+    # degree bound, and a sweep without the oracle column asks chern nothing
+    windows = [(5, 5, 9), (6, 6, 12), (4, 2, 5)]
+    expected = {window: run_sweep(*window) for window in windows}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a decision reached the localization sum")
+
+    monkeypatch.setattr(chern, "flip_points", refused)
+    monkeypatch.setattr(chern, "_pass", refused)
+    for a in range(2, 26):
+        for b in range(1, a + 1):
+            shape, t = Partition((a, b)), 2 + -(-(a - b + 1) // 2)
+            assert decide(shape, 2, t - 1)[:2] == (False, RULE_ORACLE_FALLBACK)
+            assert decide(shape, 2, t)[:2] == (True, RULE_ORACLE_FALLBACK)
+            assert min_isotropic_n(shape, 2) == t
+    for window, cases in expected.items():
+        assert run_sweep(*window, with_oracle=False) == cases, window
