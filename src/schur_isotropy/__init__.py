@@ -7,9 +7,10 @@ cases; an independent Schubert-calculus oracle (the top Chern class of the
 associated bundle on Gr(k, n)) cross-validates the rules on small instances.
 
 Importing the package loads the decision and localization core (errors,
-partitions, schur, isotropy, chern).  The names of the verification layer
-(proofs), the filling walk (tableaux) and the Schur expansion (sympoly)
-load their module on first use.
+partitions, schur, isotropy, chern).  Both oracle routes read the weight
+table chern.weight_counts, and the expansion loads only sympoly.  The names
+of the verification layer (proofs), the reference filling walk (tableaux)
+and the Schur expansion (sympoly) load their module on first use.
 """
 
 from importlib import import_module

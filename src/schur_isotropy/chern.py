@@ -1,16 +1,17 @@
 """Non-vanishing of the top Chern class of Schur-functor bundles on Gr(k, n).
 
 Two exact computations of the same class, the machine-checkable counterpart
-of the closed-form decision rules:
+of the closed-form decision rules.  Both read its Chern roots, the weights of
+S_shape(C^k), from ``weight_counts``, which builds them by the branching rule.
 
 ``top_chern_nonzero`` builds the splitting-principle product of linear forms
-indexed by tableau weights, starting from the Vandermonde product and
+indexed by those weights, starting from the Vandermonde product and
 dropping every monomial with an exponent >= n as it multiplies, then reads
 the Schur coefficients of the shapes inside the k x (n - k) box; every
 other class vanishes on the Grassmannian.  What survives decides the verdict
-and is reported.  The filling walk (``tableaux``) and the expansion
-(``sympoly``) are imported by its first call that needs them, so neither the
-package import nor any decision loads them.
+and is reported.  The expansion (``sympoly``) is imported by its first call
+that needs it, so neither the package import nor any decision loads it; the
+filling walk (``tableaux``) is a reference that no route here loads.
 
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
@@ -42,6 +43,8 @@ from sys import byteorder
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_TERM_CAP,
     DegreeGuard,
     InternalCheckError,
     InternalNonIntegral,
@@ -50,11 +53,7 @@ from .errors import (
     ZeroBundle,
 )
 from .partitions import Partition, horizontal_strip_predecessors
-from .schur import schur_ones_hook_content
-
-# Caps of the expansion route: fillings walked, and terms of any product.
-DEFAULT_ENUMERATION_CAP = 1_000_000
-DEFAULT_TERM_CAP = 5_000_000
+from .schur import _refuse_over_fillings, schur_ones_hook_content
 
 SHORTCUT_NONE = "none"
 SHORTCUT_DEGREE = "degree-exceeds-top"
@@ -93,8 +92,8 @@ def top_chern_nonzero(
     When the class degree already exceeds dim Gr(k, n) = k(n - k), the class
     is zero without any polynomial work.  The empty shape contributes a zero
     Chern root (its single weight vector is all zeros), so its class is zero
-    as well.  ``max_terms`` caps every intermediate product, the Vandermonde
-    factors included.
+    as well.  ``max_tableaux`` caps the fillings, as many as the degree, and
+    ``max_terms`` every intermediate product, the Vandermonde factors included.
     """
     if k < 1 or k > n:
         raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -105,17 +104,18 @@ def top_chern_nonzero(
         return ChernVerdict(False, degree, (), SHORTCUT_DEGREE)
     if not shape:
         return ChernVerdict(False, degree, (), SHORTCUT_EMPTY)
-    # the Vandermonde product alone has k! terms, none cut at n >= k; a walk
-    # over its own cap (degree fillings) raises SizeGuard first
-    if max_terms is not None and factorial(k) > max_terms and degree <= max_tableaux:
+    _refuse_over_fillings(shape, k, degree, max_tableaux)
+    # the Vandermonde product alone has k! terms, none cut at n >= k
+    if max_terms is not None and factorial(k) > max_terms:
         raise DegreeGuard(
             f"{factorial(k)} terms at degree {k * (k - 1) // 2} exceeds the cap"
             f" {max_terms}"
         )
     from .sympoly import box_schur_expand
-    from .tableaux import weight_vectors
 
-    weights = weight_vectors(shape, k, max_tableaux)
+    # descending lex order keeps the peak term count near the filling walk's
+    counts = sorted(weight_counts(shape, k, {}).items(), reverse=True)
+    weights = [weight for weight, count in counts for _ in range(count)]
     surviving = tuple(box_schur_expand(weights, k, n, max_terms).items())
     return ChernVerdict(bool(surviving), degree, surviving, SHORTCUT_NONE)
 

@@ -16,8 +16,8 @@ import sys
 import time
 from typing import NamedTuple, Sequence
 
-from .chern import DEFAULT_ENUMERATION_CAP, DEFAULT_TERM_CAP, top_chern_nonzero
-from .errors import DomainError, ZeroModule
+from .chern import top_chern_nonzero
+from .errors import DEFAULT_ENUMERATION_CAP, DEFAULT_TERM_CAP, DomainError, ZeroModule
 from .isotropy import decide, min_isotropic_n, run_sweep, threshold_n
 from .partitions import Partition, parse_partition
 from .schur import schur_ones_hook_content

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the expansion route's caps."""
+
+DEFAULT_ENUMERATION_CAP = 1_000_000  # fillings of a shape
+DEFAULT_TERM_CAP = 5_000_000  # terms of any product
 
 
 class DomainError(Exception):
@@ -42,7 +45,7 @@ class OutOfTheoremScope(DomainError):
 
 
 class SizeGuard(DomainError):
-    """Predicted tableau count exceeds the enumeration cap."""
+    """Predicted fillings over the enumeration cap, or localization cost over its cap."""
 
 
 class DegreeGuard(DomainError):

@@ -228,27 +228,18 @@ def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...
                     f"dim at alphabet {rows} equals {rows}",
                     dim_at[rows] == rows,
                 )
-            elif stripped == (2,):
+            elif stripped in ((2,), (1, 1)):
+                sign = 1 if stripped == (2,) else -1
                 check(
                     "stripped-degree-2-bound",
-                    f"hypothesis forces n = {n} >= (3k+1)/2 = {Fraction(3 * k + 1, 2)}",
-                    Fraction(n) >= Fraction(3 * k + 1, 2),
+                    f"hypothesis forces n = {n} >= (3k{sign:+})/2"
+                    f" = {Fraction(3 * k + sign, 2)}",
+                    Fraction(n) >= Fraction(3 * k + sign, 2),
                 )
                 check(
                     "stripped-degree-2-identity",
-                    f"dim/{rows} + {rows} == (3*{rows}+1)/2",
-                    Fraction(dim_at[rows], rows) + rows == Fraction(3 * rows + 1, 2),
-                )
-            elif stripped == (1, 1):
-                check(
-                    "stripped-degree-2-bound",
-                    f"hypothesis forces n = {n} >= (3k-1)/2 = {Fraction(3 * k - 1, 2)}",
-                    Fraction(n) >= Fraction(3 * k - 1, 2),
-                )
-                check(
-                    "stripped-degree-2-identity",
-                    f"dim/{rows} + {rows} == (3*{rows}-1)/2",
-                    Fraction(dim_at[rows], rows) + rows == Fraction(3 * rows - 1, 2),
+                    f"dim/{rows} + {rows} == (3*{rows}{sign:+})/2",
+                    Fraction(dim_at[rows], rows) + rows == Fraction(3 * rows + sign, 2),
                 )
             else:
                 stripped_dim_up = schur_ones_hook_content(stripped, rows + 1)

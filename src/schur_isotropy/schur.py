@@ -1,12 +1,13 @@
 """Exact evaluation of Schur polynomials at (1, ..., 1) by the hook-content product.
 
 The verification route, the horizontal-strip recurrence, lives in
-``proofs`` with the identities that compare the two.
+``proofs`` with the identities that compare the two.  The value is the
+number of fillings, which the enumeration cap reads.
 """
 
 from __future__ import annotations
 
-from .errors import InternalNonIntegral
+from .errors import InternalNonIntegral, SizeGuard
 from .partitions import Partition
 
 
@@ -33,3 +34,12 @@ def schur_ones_hook_content(shape: Partition, n: int) -> int:
             f"hook-content product for {shape!r}, n={n} gave {numerator}/{hooks}"
         )
     return numerator // hooks
+
+
+def _refuse_over_fillings(shape: Partition, max_entry: int, count: int, cap: int) -> None:
+    """Raise SizeGuard when count, the fillings up to max_entry, exceeds cap."""
+    if count > cap:
+        raise SizeGuard(
+            f"{count} tableaux of shape {shape.as_text()} with entries"
+            f" up to {max_entry} exceeds the cap {cap}"
+        )

@@ -6,8 +6,7 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .chern import DEFAULT_TERM_CAP
-from .errors import DegreeGuard, NotHomogeneous, NotSymmetric
+from .errors import DEFAULT_TERM_CAP, DegreeGuard, NotHomogeneous, NotSymmetric
 from .partitions import Partition
 
 

@@ -1,12 +1,12 @@
-"""Semistandard tableaux of a shape: exact counting and weight enumeration.
+"""Semistandard tableaux of a shape: the reference walk and count.
 
 ``count_ssyt`` counts fillings column by column without listing them;
 ``weight_vectors`` walks every filling row by row and records only its
-weight, the multiset the top-Chern-class oracle needs.  The walk's size cap
-is checked against the hook-content product, which equals the number of
-fillings; ``count_ssyt`` stays an independent count to check it against.
-``chern.weight_counts`` builds the same multiset from smaller shapes,
-walking none.
+weight.  Both oracle routes read that multiset from ``chern.weight_counts``,
+built from smaller shapes; the tests check it against this walk.  No oracle
+call loads this module; ``self-check`` reruns the count.  The walk's size
+cap is checked against the hook-content product, which equals the number of
+fillings; ``count_ssyt`` stays an independent count of it.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from math import comb
 from operator import add, gt
 from typing import Iterator
 
-from .chern import DEFAULT_ENUMERATION_CAP
-from .errors import SizeGuard
+from .errors import DEFAULT_ENUMERATION_CAP
 from .partitions import Partition
-from .schur import schur_ones_hook_content
+from .schur import _refuse_over_fillings, schur_ones_hook_content
 
 
 def count_ssyt(shape: Partition, max_entry: int) -> int:
@@ -85,11 +84,7 @@ def weight_vectors(
     if len(shape) > max_entry:
         return []
     predicted = schur_ones_hook_content(shape, max_entry)
-    if predicted > max_tableaux:
-        raise SizeGuard(
-            f"{predicted} tableaux of shape {shape.as_text()} with entries"
-            f" up to {max_entry} exceeds the cap {max_tableaux}"
-        )
+    _refuse_over_fillings(shape, max_entry, predicted, max_tableaux)
     heights = shape.conjugate()
 
     # Beneath a row whose every column has exactly as many free entries left

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -483,7 +484,7 @@ def test_the_cli_import_leaves_fractions_and_json_out():
 def test_the_package_import_and_the_sweep_leave_the_cold_modules_out():
     # the verification layer, the filling walk and the expansion load on
     # first use, so neither the import, a sweep nor the k = 2 fallback of
-    # decide compiles them
+    # decide compiles them, and oracle compiles only the expansion
     cold = [f"schur_isotropy.{name}" for name in ("proofs", "sympoly", "tableaux")]
     assert _modules_after("import schur_isotropy", cold) == "[]"
     assert _modules_after(
@@ -500,3 +501,32 @@ def test_the_package_import_and_the_sweep_leave_the_cold_modules_out():
     assert _modules_after(
         "import schur_isotropy; schur_isotropy.count_ssyt", cold
     ) == "['schur_isotropy.tableaux']"
+    assert _modules_after(
+        "from schur_isotropy.cli import run; run(['oracle', '--lambda', '2,1',"
+        " '--k', '3', '--n', '6'])", cold[2:],
+    ).endswith("[]")
+
+
+def test_the_package_imports_form_no_cycle():
+    # every relative import of the package, at module level or in a function
+    # body, as an edge from the importing module to the one it names
+    package = Path(__file__).resolve().parent.parent / "src" / "schur_isotropy"
+    graph = {}
+    for path in package.glob("*.py"):
+        edges = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                edges.update(names)
+
+    def reached(start):
+        seen, todo = set(), [start]
+        while todo:
+            for name in graph.get(todo.pop(), ()):
+                if name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+        return seen
+
+    assert "chern" in graph["isotropy"]  # read from "from . import chern"
+    assert sorted(name for name in graph if name in reached(name)) == []
