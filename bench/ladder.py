@@ -24,8 +24,8 @@ per shape for the whole run of n), ``batch`` (one call for all the rung's
 shapes together: one pass per n over Gr(k, n) for every shape, as
 ``chern.flip_points`` makes at most one per (k, n) for every pair pending
 there) and ``expansion``
-(``chern.top_chern_nonzero``, the truncated Schur expansion, one call per
-n), the latter two only on rungs marked for them; it also lists the
+(``schur_isotropy.top_chern_nonzero``, the truncated Schur expansion, one
+call per n), the latter two only on rungs marked for them; it also lists the
 predicted cost that the localization guard reads at the largest n
 (``chern.localization_cost``, summed over the shapes).  A sweep rung is one
 ``(max_size, max_k, max_n)`` window of ``run_sweep(..., with_oracle=True)``
@@ -58,7 +58,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MIN_REPEATS = 5
+MIN_REPEATS = 11
 MIN_SECONDS = 3.0
 
 # (the shapes, or a size standing for every shape up to it with at most k
@@ -90,6 +90,7 @@ CHILD = """\
 import hashlib, json, sys
 from collections import Counter
 from time import perf_counter
+import schur_isotropy
 from schur_isotropy import chern
 from schur_isotropy.isotropy import run_sweep
 from schur_isotropy.partitions import Partition, partitions_up_to
@@ -151,7 +152,9 @@ elif route == "localization":
         values.update(chern.localization_integrals({shape: ns}, k))
 else:
     values = {
-        shape: {n: int(chern.top_chern_nonzero(shape, k, n).nonzero) for n in ns}
+        shape: {
+            n: int(schur_isotropy.top_chern_nonzero(shape, k, n).nonzero) for n in ns
+        }
         for shape in shapes
     }
 seconds = perf_counter() - start

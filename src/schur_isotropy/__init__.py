@@ -8,14 +8,14 @@ associated bundle on Gr(k, n)) cross-validates the rules on small instances.
 
 Importing the package loads the decision and localization core (errors,
 partitions, schur, isotropy, chern).  Both oracle routes read the weight
-table chern.weight_counts, and the expansion loads only sympoly.  The names
-of the verification layer (proofs), the reference filling walk (tableaux)
-and the Schur expansion (sympoly) load their module on first use.
+table chern.weight_counts; the truncated expansion, top_chern_nonzero with
+ChernVerdict, lives in sympoly beside its multiply.  The names of the
+verification layer (proofs), the reference filling walk (tableaux) and the
+Schur expansion (sympoly) load their module on first use.
 """
 
 from importlib import import_module
 
-from .chern import ChernVerdict, top_chern_nonzero
 from .errors import DomainError
 from .isotropy import (
     AgreementCase,
@@ -38,9 +38,11 @@ _LAZY = {
     "schur_ones_recurrence": "proofs",
     "tevelev_inequalities": "proofs",
     "verify_proof_chain": "proofs",
+    "ChernVerdict": "sympoly",
     "SymPoly": "sympoly",
     "product_of_linear_forms": "sympoly",
     "schur_expand": "sympoly",
+    "top_chern_nonzero": "sympoly",
     "count_ssyt": "tableaux",
     "weight_vectors": "tableaux",
 }

@@ -1,17 +1,12 @@
 """Non-vanishing of the top Chern class of Schur-functor bundles on Gr(k, n).
 
-Two exact computations of the same class, the machine-checkable counterpart
-of the closed-form decision rules.  Both read its Chern roots, the weights of
-S_shape(C^k), from ``weight_counts``, which builds them by the branching rule.
-
-``top_chern_nonzero`` builds the splitting-principle product of linear forms
-indexed by those weights, starting from the Vandermonde product and
-dropping every monomial with an exponent >= n as it multiplies, then reads
-the Schur coefficients of the shapes inside the k x (n - k) box; every
-other class vanishes on the Grassmannian.  What survives decides the verdict
-and is reported.  The expansion (``sympoly``) is imported by its first call
-that needs it, so neither the package import nor any decision loads it; the
-filling walk (``tableaux``) is a reference that no route here loads.
+The machine-checkable counterpart of the closed-form decision rules: the
+class's Chern roots, the weights of S_shape(C^k), and the sign of its
+degree against a power of sigma_1.  ``weight_counts`` builds the roots by
+the branching rule; both oracle routes read them from it, this module's
+localization sum and the truncated Schur expansion of the ``oracle``
+command (``sympoly.top_chern_nonzero``).  The filling walk (``tableaux``) is
+a reference that no route loads.
 
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
@@ -30,7 +25,6 @@ Gr(k, n) at most once, for all its pairs there, and packs each k's weights
 once per lane width its passes need.
 ``isotropy.run_sweep`` reads its oracle column from one search; no
 decision rule reads this module.
-``top_chern_nonzero`` serves the ``oracle`` command's Schur coefficients.
 """
 
 from __future__ import annotations
@@ -40,12 +34,9 @@ from itertools import combinations
 from math import comb, factorial, prod
 from operator import mul
 from sys import byteorder
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import (
-    DEFAULT_ENUMERATION_CAP,
-    DEFAULT_TERM_CAP,
-    DegreeGuard,
     InternalCheckError,
     InternalNonIntegral,
     InvalidRange,
@@ -53,71 +44,13 @@ from .errors import (
     ZeroBundle,
 )
 from .partitions import Partition, horizontal_strip_predecessors
-from .schur import _refuse_over_fillings, schur_ones_hook_content
-
-SHORTCUT_NONE = "none"
-SHORTCUT_DEGREE = "degree-exceeds-top"
-SHORTCUT_EMPTY = "empty-weights"
+from .schur import schur_ones_hook_content
 
 # The localization_cost at any one (shape, n) above which localization_integrals
 # refuses to start.  Measured at the cap on a 2-core x86_64: about 0.3-0.9 s
 # for k >= 2, about 5 s at k = 1 (n near 5480), where each point's integers
 # run to n * log2(n) bits.
 LOCALIZATION_COST_CAP = 30_000_000
-
-
-class ChernVerdict(NamedTuple):
-    """Outcome of the top-Chern-class test.
-
-    ``degree`` is the bundle rank (the module dimension over C^k) and equals
-    the cohomological degree of the class; ``surviving`` lists the Schur
-    coefficients of the shapes inside the k x (n - k) box, in lex order.
-    """
-
-    nonzero: bool
-    degree: int
-    surviving: tuple[tuple[Partition, int], ...]
-    shortcut: str
-
-
-def top_chern_nonzero(
-    shape: Partition,
-    k: int,
-    n: int,
-    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
-    max_terms: int | None = DEFAULT_TERM_CAP,
-) -> ChernVerdict:
-    """Decide whether the top Chern class survives on Gr(k, n).
-
-    When the class degree already exceeds dim Gr(k, n) = k(n - k), the class
-    is zero without any polynomial work.  The empty shape contributes a zero
-    Chern root (its single weight vector is all zeros), so its class is zero
-    as well.  ``max_tableaux`` caps the fillings, as many as the degree, and
-    ``max_terms`` every intermediate product, the Vandermonde factors included.
-    """
-    if k < 1 or k > n:
-        raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    shape = Partition(shape)
-    _refuse_zero_bundle(shape, k)
-    degree = schur_ones_hook_content(shape, k)
-    if degree > k * (n - k):
-        return ChernVerdict(False, degree, (), SHORTCUT_DEGREE)
-    if not shape:
-        return ChernVerdict(False, degree, (), SHORTCUT_EMPTY)
-    _refuse_over_fillings(shape, k, degree, max_tableaux)
-    # the Vandermonde product alone has k! terms, none cut at n >= k
-    if max_terms is not None and factorial(k) > max_terms:
-        raise DegreeGuard(
-            f"{factorial(k)} terms at degree {k * (k - 1) // 2} exceeds the cap"
-            f" {max_terms}"
-        )
-    from .sympoly import box_schur_expand
-
-    # descending lex order keeps the peak term count near the filling walk's
-    counts = sorted(weight_counts(shape, k, {}).items(), reverse=True)
-    weights = [weight for weight, count in counts for _ in range(count)]
-    surviving = tuple(box_schur_expand(weights, k, n, max_terms).items())
-    return ChernVerdict(bool(surviving), degree, surviving, SHORTCUT_NONE)
 
 
 def localization_cost(k: int, n: int, degree: int) -> int:
@@ -258,7 +191,7 @@ def _pass(k: int, n: int, batch: list, lanes: tuple) -> dict[Partition, int]:
 
 
 def localization_integrals(
-    runs: Mapping[Partition, Iterable[int]], k: int, table: dict | None = None
+    runs: Mapping[Partition, Iterable[int]], k: int
 ) -> dict[Partition, dict[int, int]]:
     """{shape: {n: the degree of c_D(S_shape(S^*)) * sigma_1^(k(n-k)-D) on
     Gr(k, n)}} for each shape and n of ``runs``, a map from shape to its n.
@@ -266,23 +199,23 @@ def localization_integrals(
     Atiyah-Bott localization, one pass over Gr(k, n) per n (_pass) for the
     shapes asking for it, their roots the lanes of packed integers (_lanes): a
     fixed point is a k-subset I of 0..n-1, where each weight w of weight_counts
-    (over ``table``, which callers may share) gives the Chern root w.t_I, the
-    lift of sigma_1 is the sum of t_I and the tangent weights are t_j - t_i
-    (i in I, j not in I).  Any distinct t give the same integral, and
-    t_i = 2i - (n-1) are symmetric: n-1-I negates the roots, lift and tangent
-    weights of I, 2k(n-k) signs, so a pass skips each point with a negative
-    lift and counts one with a positive lift twice.  The inverse Euler class
-    is then, up to a sign fixed by k and n, V(S)^2 * prod_{i in S} (-1)^i
-    C(n-1, i) over ((n-1)!)^|S| * 2^(k(n-k)), S the smaller of I and its
-    complement: the sum is of plain integers, with one exact division.  A
-    remainder or a negative value raises InternalCheckError.  Positive
-    exactly when the top Chern class is nonzero (see the module docstring);
-    0 without work when D > k(n - k).  Raises SizeGuard before any work when
-    localization_cost at some (shape, n) exceeds LOCALIZATION_COST_CAP.
+    gives the Chern root w.t_I, the lift of sigma_1 is the sum of t_I and the
+    tangent weights are t_j - t_i (i in I, j not in I).  Any distinct t give
+    the same integral, and t_i = 2i - (n-1) are symmetric: n-1-I negates the
+    roots, lift and tangent weights of I, 2k(n-k) signs, so a pass skips each
+    point with a negative lift and counts one with a positive lift twice.
+    The inverse Euler class is then, up to a sign fixed by k and n, V(S)^2 *
+    prod_{i in S} (-1)^i C(n-1, i) over ((n-1)!)^|S| * 2^(k(n-k)), S the
+    smaller of I and its complement: the sum is of plain integers, with one
+    exact division.  A remainder or a negative value raises
+    InternalCheckError.  Positive exactly when the top Chern class is nonzero
+    (see the module docstring); 0 without work when D > k(n - k).  Raises
+    SizeGuard before any work when localization_cost at some (shape, n)
+    exceeds LOCALIZATION_COST_CAP.
     """
     if k < 1:
         raise InvalidRange(f"k must be positive, got {k}")
-    values, passes = {}, {}
+    values, passes, table = {}, {}, {}
     for shape, ns in runs.items():
         shape, ns = Partition(shape), sorted(set(ns))
         if ns and ns[0] < k:
@@ -293,7 +226,6 @@ def localization_integrals(
         for n in (n for n in ns if shape and degree <= k * (n - k)):
             _refuse_over_cap(k, n, degree)
             passes.setdefault(n, []).append((shape, degree))
-    table = {} if table is None else table
     for n, batch in passes.items():
         lanes = _lanes([shape for shape, _ in batch], k, n, table)
         for shape, value in _pass(k, n, batch, lanes).items():

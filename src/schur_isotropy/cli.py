@@ -16,7 +16,6 @@ import sys
 import time
 from typing import NamedTuple, Sequence
 
-from .chern import top_chern_nonzero
 from .errors import DEFAULT_ENUMERATION_CAP, DEFAULT_TERM_CAP, DomainError, ZeroModule
 from .isotropy import decide, min_isotropic_n, run_sweep, threshold_n
 from .partitions import Partition, parse_partition
@@ -153,7 +152,7 @@ def _cmd_min_n(args):
 
 
 def _cmd_oracle(args):
-    from .sympoly import expansion_to_json
+    from .sympoly import expansion_to_json, top_chern_nonzero
 
     verdict = top_chern_nonzero(
         args.lam, args.k, args.n, max_tableaux=args.max_tableaux, max_terms=args.max_terms

@@ -52,10 +52,6 @@ class Partition(tuple):
         """Total number of boxes."""
         return sum(self)
 
-    def part(self, row: int) -> int:
-        """1-based part, zero beyond the last row."""
-        return self[row - 1] if 1 <= row <= len(self) else 0
-
     def conjugate(self) -> "Partition":
         """Shape reflected along the main diagonal."""
         # from the bottom row up, each row adds the columns beyond the rows
@@ -68,10 +64,6 @@ class Partition(tuple):
     def is_rectangle(self) -> bool:
         """True when all parts are equal (vacuously true for the empty shape)."""
         return len(set(self)) <= 1
-
-    def contains(self, other: "Partition") -> bool:
-        """True when every row of ``other`` fits inside this shape."""
-        return all(p <= self.part(row + 1) for row, p in enumerate(other))
 
     def as_text(self) -> str:
         """Canonical interchange form "a,b,c"; empty string for the empty shape."""

@@ -1,13 +1,32 @@
-"""Sparse exact-coefficient polynomials in k variables, and Schur-basis expansion."""
+"""Sparse exact-coefficient polynomials in k variables, Schur-basis expansion,
+and the ``oracle`` command's route to the top Chern class: top_chern_nonzero
+multiplies the forms of the Chern roots that ``chern.weight_counts`` lists,
+cut to the k x (n - k) box of Gr(k, n), and reads the Schur coefficients that
+survive.  The package import leaves this module out; the ``oracle`` command
+and the first use of one of its names load it.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from math import factorial
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DEFAULT_TERM_CAP, DegreeGuard, NotHomogeneous, NotSymmetric
+from .chern import _refuse_zero_bundle, weight_counts
+from .errors import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_TERM_CAP,
+    DegreeGuard,
+    InvalidRange,
+    NotHomogeneous,
+    NotSymmetric,
+)
 from .partitions import Partition
+from .schur import _refuse_over_fillings, schur_ones_hook_content
+
+SHORTCUT_NONE = "none"
+SHORTCUT_DEGREE = "degree-exceeds-top"
+SHORTCUT_EMPTY = "empty-weights"
 
 
 class SymPoly:
@@ -101,33 +120,75 @@ def schur_expand(
     return _alternant_expansion(poly.terms, poly.nvars, (), max_terms)
 
 
-def box_schur_expand(
-    weights: Sequence[Sequence[int]],
-    nvars: int,
-    bound: int,
-    max_terms: int | None = DEFAULT_TERM_CAP,
-) -> dict[Partition, int]:
-    """Schur coefficients of the product of the forms sum(w[i] * x_i), one per
-    weight, for every shape mu with mu_1 <= bound - nvars.
+class ChernVerdict(NamedTuple):
+    """Outcome of the top-Chern-class test.
 
-    Starts from the Vandermonde product and multiplies in the weight forms,
-    dropping each monomial with an exponent >= bound as soon as it appears.
-    Those monomials span an ideal that multiplication keeps inside itself,
-    so dropping them step by step equals dropping them once at the end.  The
-    alternant of mu + staircase lies wholly in that ideal when
-    mu_1 > bound - nvars and shares no monomial with it otherwise, so the
+    ``degree`` is the bundle rank (the module dimension over C^k) and equals
+    the cohomological degree of the class; ``surviving`` lists the Schur
+    coefficients of the shapes inside the k x (n - k) box, in lex order.
+    """
+
+    nonzero: bool
+    degree: int
+    surviving: tuple[tuple[Partition, int], ...]
+    shortcut: str
+
+
+def top_chern_nonzero(
+    shape: Partition,
+    k: int,
+    n: int,
+    max_tableaux: int = DEFAULT_ENUMERATION_CAP,
+    max_terms: int | None = DEFAULT_TERM_CAP,
+) -> ChernVerdict:
+    """Decide whether the top Chern class survives on Gr(k, n).
+
+    When the class degree already exceeds dim Gr(k, n) = k(n - k), the class
+    is zero without any polynomial work.  The empty shape contributes a zero
+    Chern root (its single weight vector is all zeros), so its class is zero
+    as well.  ``max_tableaux`` caps the fillings, as many as the degree, and
+    ``max_terms`` every intermediate product, the Vandermonde factors included.
+
+    The product starts from the Vandermonde product and multiplies in the
+    weight forms, dropping each monomial with an exponent >= n as soon as it
+    appears.  Those monomials span an ideal that multiplication keeps inside
+    itself, so dropping them step by step equals dropping them once at the
+    end.  The alternant of mu + staircase lies wholly in that ideal when
+    mu_1 > n - k and shares no monomial with it otherwise, so the
     coefficients read are exactly those of schur_expand inside the box.
-    Shapes come back in increasing lexicographic order.
 
     The product is symmetric when the weight multiset is invariant under
     variable swaps, that is when the sum of x^w over the weights is a
     symmetric polynomial; NotSymmetric is raised otherwise.
     """
-    if not SymPoly(nvars, Counter(map(tuple, weights))).is_symmetric():
+    if k < 1 or k > n:
+        raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    shape = Partition(shape)
+    _refuse_zero_bundle(shape, k)
+    degree = schur_ones_hook_content(shape, k)
+    if degree > k * (n - k):
+        return ChernVerdict(False, degree, (), SHORTCUT_DEGREE)
+    if not shape:
+        return ChernVerdict(False, degree, (), SHORTCUT_EMPTY)
+    _refuse_over_fillings(shape, k, degree, max_tableaux)
+    # the Vandermonde product alone has k! terms, none cut at n >= k
+    if max_terms is not None and factorial(k) > max_terms:
+        raise DegreeGuard(
+            f"{factorial(k)} terms at degree {k * (k - 1) // 2} exceeds the cap"
+            f" {max_terms}"
+        )
+    table = weight_counts(shape, k, {})
+    if not SymPoly(k, table).is_symmetric():
         raise NotSymmetric("weight multiset is not invariant under variable swaps")
-    return _alternant_expansion(
-        {(0,) * nvars: 1}, nvars, weights, max_terms, bound
+    # descending lex order keeps the peak term count near the filling walk's
+    forms = (
+        weight
+        for weight, count in sorted(table.items(), reverse=True)
+        for _ in range(count)
     )
+    expansion = _alternant_expansion({(0,) * k: 1}, k, forms, max_terms, n)
+    surviving = tuple(expansion.items())
+    return ChernVerdict(bool(surviving), degree, surviving, SHORTCUT_NONE)
 
 
 def _mul_linear(

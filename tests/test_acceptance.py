@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 from math import comb
 
-from schur_isotropy.chern import top_chern_nonzero
 from schur_isotropy.cli import run
 from schur_isotropy.isotropy import (
     RULE_EXCEPTION_SKEW_3_N7,
@@ -28,6 +27,7 @@ from schur_isotropy.proofs import (
     tevelev_inequalities,
 )
 from schur_isotropy.schur import schur_ones_hook_content
+from schur_isotropy.sympoly import top_chern_nonzero
 from schur_isotropy.tableaux import count_ssyt
 
 from closed_forms import hook_shape_dimension, two_row_rectangle_dimension

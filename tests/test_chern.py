@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from schur_isotropy import chern, sympoly, tableaux
-from schur_isotropy.chern import localization_integrals, top_chern_nonzero
+from schur_isotropy.chern import localization_integrals
 from schur_isotropy.errors import (
     DegreeGuard,
     InvalidRange,
@@ -18,7 +18,11 @@ from schur_isotropy.isotropy import (
 )
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import schur_ones_hook_content
-from schur_isotropy.sympoly import product_of_linear_forms, schur_expand
+from schur_isotropy.sympoly import (
+    product_of_linear_forms,
+    schur_expand,
+    top_chern_nonzero,
+)
 from schur_isotropy.tableaux import weight_vectors
 
 
@@ -71,7 +75,7 @@ def test_survivors_fit_in_the_box():
             for mu, coeff in verdict.surviving:
                 assert coeff != 0
                 assert len(mu) <= k
-                assert mu.part(1) <= n - k
+                assert max(mu, default=0) <= n - k
                 assert mu.size == verdict.degree
 
 
@@ -107,7 +111,9 @@ def test_survivors_match_the_full_expansion_cut_to_the_box():
                 verdict = top_chern_nonzero(lam, k, n)
                 if verdict.shortcut != "none":
                     continue
-                expected = [(mu, c) for mu, c in full.items() if mu.part(1) <= n - k]
+                expected = [
+                    (mu, c) for mu, c in full.items() if max(mu, default=0) <= n - k
+                ]
                 assert list(verdict.surviving) == expected, (lam, k, n)
                 checked += 1
     assert checked == 268
@@ -225,7 +231,7 @@ def _no_expansion(*args, **kwargs):
 def test_a_sweep_at_large_n_passes_the_cost_guard(monkeypatch):
     # k = 6, n = 23 has 100947 fixed points; the expansion answers (1,) there
     # at once, so the guard must let the sum run too, with no fallback
-    monkeypatch.setattr(chern, "top_chern_nonzero", _no_expansion)
+    monkeypatch.setattr(sympoly, "top_chern_nonzero", _no_expansion)
     cases = run_sweep(1, 6, 23, with_oracle=True)
     last = cases[-1]
     assert (last.shape, last.k, last.n, last.oracle_nonzero) == ((1,), 6, 23, True)
@@ -237,7 +243,7 @@ def test_the_sweep_raises_the_cost_guard_past_the_cap(monkeypatch):
     monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", 0)
     with pytest.raises(SizeGuard):
         localization_integrals({Partition((1,)): [2]}, 1)
-    monkeypatch.setattr(chern, "top_chern_nonzero", _no_expansion)
+    monkeypatch.setattr(sympoly, "top_chern_nonzero", _no_expansion)
     with pytest.raises(SizeGuard):
         run_sweep(3, 4, 8, with_oracle=True)
 
@@ -252,7 +258,7 @@ def test_a_window_split_by_the_cost_cap_raises_at_its_first_refused_n(monkeypatc
     monkeypatch.setattr(chern, "LOCALIZATION_COST_CAP", cap)
     with pytest.raises(SizeGuard):
         localization_integrals({two_one: range(5, 11)}, 4)
-    monkeypatch.setattr(chern, "top_chern_nonzero", _no_expansion)
+    monkeypatch.setattr(sympoly, "top_chern_nonzero", _no_expansion)
     with pytest.raises(SizeGuard, match=r"Gr\(4,9\)"):
         run_sweep(3, 4, 10, with_oracle=True)
 
@@ -476,9 +482,9 @@ def test_the_sweep_neither_expands_nor_walks_below_the_cost_cap(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the sweep expanded or walked fillings")
 
-    monkeypatch.setattr(chern, "top_chern_nonzero", refused)
+    monkeypatch.setattr(sympoly, "top_chern_nonzero", refused)
     monkeypatch.setattr(tableaux, "weight_vectors", refused)
-    monkeypatch.setattr(sympoly, "box_schur_expand", refused)
+    monkeypatch.setattr(sympoly, "_alternant_expansion", refused)
     for (window, oracle), cases in expected.items():
         assert run_sweep(*window, with_oracle=oracle) == cases, (window, oracle)
 

@@ -530,3 +530,22 @@ def test_the_package_imports_form_no_cycle():
 
     assert "chern" in graph["isotropy"]  # read from "from . import chern"
     assert sorted(name for name in graph if name in reached(name)) == []
+
+
+def test_chern_holds_only_the_localization_route_and_imports_at_module_level():
+    # the truncated expansion and its verdict type live in sympoly, so chern
+    # defines neither and imports nothing inside a function body
+    path = Path(__file__).resolve().parent.parent / "src" / "schur_isotropy" / "chern.py"
+    tree = ast.parse(path.read_text())
+    defined = {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {"top_chern_nonzero", "ChernVerdict"} & defined == set()
+    nested = [
+        (function.name, node.lineno)
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []

@@ -4,7 +4,6 @@ from time import perf_counter
 import pytest
 
 from schur_isotropy import chern, isotropy
-from schur_isotropy.chern import top_chern_nonzero
 from schur_isotropy.errors import (
     ChainStepFailed,
     EmptyPartition,
@@ -32,6 +31,7 @@ from schur_isotropy.isotropy import (
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.proofs import tevelev_inequalities, verify_proof_chain
 from schur_isotropy.schur import schur_ones_hook_content
+from schur_isotropy.sympoly import top_chern_nonzero
 
 
 def test_threshold_examples():

@@ -1,14 +1,15 @@
 import pytest
 
+from schur_isotropy import sympoly
 from schur_isotropy.errors import DegreeGuard, NotHomogeneous, NotSymmetric
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.sympoly import (
     SymPoly,
-    box_schur_expand,
     expansion_to_json,
     product_of_linear_forms,
     schur_expand,
+    top_chern_nonzero,
 )
 from schur_isotropy.tableaux import weight_vectors
 
@@ -99,8 +100,14 @@ def test_schur_expand_rejects_bad_input():
         schur_expand(SymPoly(2, {(1, 0): 1}))
     with pytest.raises(NotHomogeneous):
         schur_expand(SymPoly(2, {(1, 1): 1, (1, 0): 1, (0, 1): 1}))
+
+
+def test_an_asymmetric_weight_table_is_refused(monkeypatch):
+    # the weights of S_shape(C^k) are invariant under swaps; a table that is
+    # not would give a product with no Schur expansion
+    monkeypatch.setattr(sympoly, "weight_counts", lambda *args: {(1, 0): 1})
     with pytest.raises(NotSymmetric):
-        box_schur_expand([(1, 0)], 2, 3)
+        top_chern_nonzero(Partition((1,)), 2, 3)
 
 
 def test_degree_guard_names_the_degree():
