@@ -264,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Execute one command; returns the process exit code."""
+    if hasattr(sys, "set_int_max_str_digits"):  # print answers of any length
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

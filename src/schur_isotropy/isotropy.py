@@ -1,18 +1,20 @@
 """Decision rules for generic isotropic subspaces of forms with Young-type symmetry.
 
 A form of symmetry type ``shape`` on C^n generically vanishes on some
-k-dimensional subspace exactly when n clears a dimension threshold.  The
-threshold is dim(module over C^k)/k + k for shapes with at least two rows
-and two columns (k >= 3); single-row and single-column shapes follow the
-binomial criteria of Tevelev together with the exceptional families: the
-two degree-2 shapes, alternating (n-2)-forms with n even, and alternating
-3-forms on C^7.  The remaining corner (k = 2 with a two-row, two-column
-shape (a, b)) is ample: S_(a,b)(S^*) = det(S^*)^b (x) Sym^(a-b)(S^*) is an
-ample line bundle times a globally generated bundle, so by Bloch-Gieseker
-its top Chern class is nonzero exactly when its degree fits, at the same
-threshold k + ceil(dim/k).  No decision reads ``chern``; ``run_sweep``
-compares the rules with the top Chern class over a grid of small
-instances, at the flip points of one ``chern.flip_points`` search.
+k-dimensional subspace exactly when n >= dim/k + k, where dim =
+dim S_shape(C^k), from ``schur``'s one dimension function, is the degree
+of the top Chern class of S_shape(S^*) on Gr(k, n).  That is the main
+theorem for shapes with at least two rows and two columns (k >= 3), and
+Tevelev's criteria for one row (dim = C(d+k-1, d)) and one column
+(dim = C(k, d)).  Only the exceptional families leave it: the two degree-2
+shapes, alternating (n-2)-forms with n even, and alternating 3-forms on
+C^7.  The remaining corner (k = 2 with a two-row, two-column shape (a, b))
+is ample: S_(a,b)(S^*) = det(S^*)^b (x) Sym^(a-b)(S^*) is an ample line
+bundle times a globally generated bundle, so by Bloch-Gieseker its top
+Chern class is nonzero exactly when its degree fits, at the same
+threshold.  No decision reads ``chern``; ``run_sweep`` compares the rules
+with the top Chern class over a grid of small instances, at the flip
+points of one ``chern.flip_points`` search.
 
 The degree-2 shapes flip at different points.  A generic symmetric form
 (shape (2,)) is nondegenerate, so its isotropic subspaces have dimension
@@ -25,11 +27,10 @@ larger.  It is k-isotropic iff n >= 2k-1.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Callable, NamedTuple
 
 from . import chern
-from .errors import EmptyPartition, InvalidRange, OutOfTheoremScope, ZeroModule
+from .errors import EmptyPartition, InvalidRange, ZeroModule
 from .partitions import Partition, partitions_up_to
 from .schur import schur_ones_hook_content
 
@@ -122,21 +123,23 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
         )
         return lambda n: trivial
 
-    if shape == (1,):
-        t, rule = k + 1, RULE_DEGREE_1
-        detail = (
-            f"a generic linear functional has a {k}-dimensional zero subspace"
-            f" iff n >= {t}"
-        )
-    elif shape == (2,):
+    # every rule but the degree-2 shapes flips at n >= dim/k + k
+    dim = schur_ones_hook_content(shape, k)
+    t = k + _ceil_div(dim, k)
+    if shape == (2,):
         t, rule = 2 * k, RULE_EXCEPTION_DEGREE_2
         detail = f"degree-2 forms are isotropic iff n >= 2k = {t}"
     elif shape == (1, 1):
         t, rule = 2 * k - 1, RULE_EXCEPTION_SKEW_DEGREE_2
         detail = f"alternating 2-forms are isotropic iff n >= 2k-1 = {t}"
+    elif shape == (1,):
+        rule = RULE_DEGREE_1
+        detail = (
+            f"a generic linear functional has a {k}-dimensional zero subspace"
+            f" iff n >= {t}"
+        )
     elif shape[0] == 1:
-        d = rows  # single column of height d >= 3
-        t = k + _ceil_div(comb(k, d), k)
+        d = rows  # single column of height d >= 3, dim = C(k, d)
         detail = (
             f"alternating {d}-forms are isotropic iff n >= C({k},{d})/{k} + {k};"
             f" minimal n = {t}"
@@ -160,15 +163,14 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
 
         return single_column
     elif rows == 1:
-        d = shape[0]  # single row of length d >= 3
-        t, rule = k + _ceil_div(comb(d + k - 1, d), k), RULE_TEVELEV_SYMMETRIC
+        d = shape[0]  # single row of length d >= 3, dim = C(d+k-1, d)
+        rule = RULE_TEVELEV_SYMMETRIC
         detail = (
             f"symmetric {d}-forms are isotropic iff n >= C({d + k - 1},{d})/{k}"
             f" + {k}; minimal n = {t}"
         )
     elif k >= 3:
-        dim = schur_ones_hook_content(shape, k)
-        t, rule = k + _ceil_div(dim, k), RULE_MAIN  # threshold_n, one hook-content
+        rule = RULE_MAIN
         detail = f"isotropic iff n >= dim/k + k = {dim}/{k} + {k}; minimal n = {t}"
     else:
         # k == 2 with a two-row, two-column shape (a, b): the bundle is
@@ -176,8 +178,6 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
         # class is nonzero exactly when dim <= k(n - k), that is n >= t.  It
         # keeps the oracle route's rule id, absent threshold_n and detail,
         # which benchmark/reference.py and benchmark/verify.py pin.
-        t = k + _ceil_div(schur_ones_hook_content(shape, k), k)
-
         def fallback(n: int) -> Verdict:
             nonzero = n >= t
             return Verdict(
@@ -193,15 +193,14 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
 
 
 def min_isotropic_n(shape: Partition, k: int) -> int:
-    """Smallest n >= k for which decide() reports isotropy.
+    """Smallest n >= k for which decide() reports isotropy, in closed form.
 
-    The scan walks the rule that decide() applies, routed once, from the
-    degree bound k + ceil(dim/k), or from that rule's threshold at n = k
-    when it is larger (the degree-2 shapes).  No rule reports isotropy
-    below either: below the degree bound the top Chern class has degree
-    over dim Gr(k, n), and the exceptional single-column rules only delay
-    isotropy past the binomial threshold.  So the answer is the start or a
-    few steps beyond it, and the scan stays short even when it is huge.
+    With more rows than k it is k.  Otherwise no rule reports isotropy
+    below start = max(threshold_n, the threshold of decide()'s rule), which
+    is larger only for the degree-2 shapes: below threshold_n the top Chern
+    class has degree over dim Gr(k, n), and the single-column exceptions
+    only delay isotropy.  A column height d has at most one exceptional n
+    (d + 2 when even, 7 when d = 3), so start + 1 answers if start does not.
     """
     shape = Partition(shape)
     if not shape:
@@ -210,29 +209,17 @@ def min_isotropic_n(shape: Partition, k: int) -> int:
         raise InvalidRange(f"k must be positive, got {k}")
     if len(shape) > k:
         return k
-    dim = schur_ones_hook_content(shape, k)
-    bound = max(2 * k, 7, shape.size + 2, k + dim) + 1
     route = _route(shape, k)
-    start = max(k + _ceil_div(dim, k), route(k).threshold_n or 0)
-    for n in range(start, bound + 1):
-        if route(n).isotropic:
-            return n
-    raise OutOfTheoremScope(
-        f"no isotropic n found up to {bound} for shape {shape.as_text()}, k={k}"
-    )
+    start = max(threshold_n(shape, k), route(k).threshold_n or 0)
+    return start if route(start).isotropic else start + 1
 
 
 def run_sweep(
-    max_size: int,
-    max_k: int,
-    max_n: int,
-    with_oracle: bool = False,
-    dim_cap: int = SWEEP_DIM_CAP,
-    k_cap: int = SWEEP_K_CAP,
+    max_size: int, max_k: int, max_n: int, with_oracle: bool = False
 ) -> list[AgreementCase]:
     """Decision verdicts for every nonempty shape of size <= max_size,
     rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
-    wherever k <= k_cap and the class degree is at most dim_cap.
+    wherever k <= SWEEP_K_CAP and the class degree is at most SWEEP_DIM_CAP.
 
     Each (shape, k) is routed to decide's rule once for its whole run of n.
     The oracle verdict is whether n has reached the (shape, k) flip point
@@ -242,12 +229,12 @@ def run_sweep(
     then n.
     """
     shapes = [shape for shape in partitions_up_to(max_size) if shape]
-    oracle_k = min(max_k, k_cap) if with_oracle else 0
+    oracle_k = min(max_k, SWEEP_K_CAP) if with_oracle else 0
     routes, degrees = [], {}
     for shape in shapes:
         for k in range(len(shape), min(max_k, max_n - 1) + 1):
             degree = schur_ones_hook_content(shape, k) if k <= oracle_k else 0
-            shown = k <= oracle_k and degree <= dim_cap
+            shown = k <= oracle_k and degree <= SWEEP_DIM_CAP
             if shown:
                 degrees[shape, k] = degree
             routes.append((shape, k, _route(shape, k), shown))

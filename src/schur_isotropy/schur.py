@@ -1,11 +1,15 @@
-"""Exact evaluation of Schur polynomials at (1, ..., 1) by the hook-content product.
+"""Exact evaluation of Schur polynomials at (1, ..., 1): dim S_shape(C^n).
 
-The verification route, the horizontal-strip recurrence, lives in
-``proofs`` with the identities that compare the two.  The value is the
-number of fillings, which the enumeration cap reads.
+The one dimension function: C(n+d-1, d) for a row (d), C(n, d) for a
+column 1^d, the hook-content product otherwise.  The verification route,
+the horizontal-strip recurrence, lives in ``proofs`` with the identities
+that compare the two.  The value is the number of fillings, which the
+enumeration cap reads.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import InternalNonIntegral, SizeGuard
 from .partitions import Partition
@@ -18,11 +22,16 @@ def schur_ones_hook_content(shape: Partition, n: int) -> int:
     (shape[i] - j) + (conjugate[j] - i) + 1.  Numerators and hook lengths
     are multiplied as integers row by row and divided once at the end,
     which must be exact.  A shape with more rows than n picks up a zero
-    factor and the value is 0.
+    factor and the value is 0.  A one-row or one-column shape takes the
+    product's closed form, a binomial, without the quadratic product.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     shape = Partition(shape)
+    if len(shape) == 1:
+        return comb(n + shape[0] - 1, shape[0])
+    if shape and shape[0] == 1:
+        return comb(n, len(shape))
     heights = shape.conjugate()
     numerator = hooks = 1
     for i, width in enumerate(shape, start=1):

@@ -1,6 +1,32 @@
+import signal
+
+import pytest
 from hypothesis import strategies as st
 
 from schur_isotropy import Partition
+
+# Wall-clock seconds a test may take before it fails; the slowest takes
+# about 2 s.  The limit turns a hang into a failure and changes no assertion.
+TEST_TIME_LIMIT_S = 60
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

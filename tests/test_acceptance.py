@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+from schur_isotropy import isotropy
 from schur_isotropy.cli import run
 from schur_isotropy.isotropy import (
     RULE_EXCEPTION_SKEW_3_N7,
@@ -159,8 +160,9 @@ def test_criterion_5_inequality_suites():
 
 
 def _criterion_sweep():
-    return run_sweep(5, 5, 9, with_oracle=True,
-                     dim_cap=SWEEP_ORACLE_DIM_CAP, k_cap=SWEEP_ORACLE_K_CAP)
+    assert isotropy.SWEEP_DIM_CAP == SWEEP_ORACLE_DIM_CAP
+    assert isotropy.SWEEP_K_CAP == SWEEP_ORACLE_K_CAP
+    return run_sweep(5, 5, 9, with_oracle=True)
 
 
 def test_criterion_6_decision_oracle_agreement_sweep():

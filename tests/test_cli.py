@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -32,6 +33,20 @@ def test_dim_json(capsys):
     assert envelope["command"] == "dim"
     assert envelope["result"] == {"lambda": [2, 1], "n": 3, "dim": "8"}
     assert envelope["timing_ms"] == 0
+
+
+def test_a_dimension_past_the_int_print_limit_is_an_answer(capsys):
+    # C(99999, 50000) has 30101 digits, past the 4300 that Python prints by
+    # default; run lifts that limit, so the answer prints in full
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    try:
+        code, envelope = run_json(capsys, ["dim", "--lambda", "50000", "--n", "50000"])
+        expected = str(comb(99999, 50000))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert envelope["result"]["dim"] == expected
 
 
 def test_decide_json_matches_published_shape(capsys):

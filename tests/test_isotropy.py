@@ -296,15 +296,23 @@ def test_min_isotropic_n_matches_a_scan_from_k():
 
 
 def test_min_isotropic_n_starts_at_the_threshold(monkeypatch):
+    # min_isotropic_n evaluates decide's rule through the closure _route
+    # returns; the closed form needs it at n = k and at the start only
     calls = []
+    route = isotropy._route
 
-    def counting_decide(shape, k, n):
-        calls.append(n)
-        if len(calls) > 5:
-            raise AssertionError(f"min_isotropic_n scanned n = {calls}")
-        return decide(shape, k, n)
+    def counting_route(shape, k):
+        decide_at = route(shape, k)
 
-    monkeypatch.setattr(isotropy, "decide", counting_decide)
+        def counted(n):
+            calls.append(n)
+            if len(calls) > 2:
+                raise AssertionError(f"min_isotropic_n evaluated n = {calls}")
+            return decide_at(n)
+
+        return counted
+
+    monkeypatch.setattr(isotropy, "_route", counting_route)
     assert min_isotropic_n(Partition((5, 5, 5)), 20) == 14945768674
 
 

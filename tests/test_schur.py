@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from schur_isotropy import proofs
+from schur_isotropy.errors import InternalMismatch
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.proofs import (
     _CROSS_CHECK_LIMIT,
@@ -40,6 +42,19 @@ def test_dim_schur_module():
     assert dim_schur_module(Partition(), 7).value == 1
     dv = dim_schur_module(Partition((2, 1)), 3)
     assert (dv.shape, dv.n) == (Partition((2, 1)), 3)
+
+
+def test_dim_schur_module_cross_checks_by_the_recurrence(monkeypatch):
+    # a recurrence that is off by one must be caught on a multi-row shape
+    # (the hook-content product) and on a one-row shape (its binomial)
+    recurrence = proofs.schur_ones_recurrence
+    monkeypatch.setattr(
+        proofs, "schur_ones_recurrence", lambda shape, n: recurrence(shape, n) + 1
+    )
+    for shape, n in ((Partition((2, 1)), 3), (Partition((4,)), 3)):
+        assert shape.size <= _CROSS_CHECK_LIMIT and n <= _CROSS_CHECK_LIMIT
+        with pytest.raises(InternalMismatch):
+            dim_schur_module(shape, n)
 
 
 @given(partitions(max_size=6), st.integers(min_value=0, max_value=6))
