@@ -9,13 +9,15 @@ have taken MIN_SECONDS of wall time, interpreter starts included, so a rung
 of a few milliseconds gets enough repeats to outlast CPU-speed drift.  Each
 run is a fresh interpreter that imports the package from ``src/`` and times
 only the calls.  With
-``--base``, a second source tree (a checkout of another commit, whose
+``--base``, a second source tree (a git checkout of another commit, whose
 ``src/`` is imported instead) is timed in the same run: every repeat times
 both trees back to back, the order alternating from one repeat to the next,
 and the report gives per rung and route the base's timings and ``ratio``,
 the median over the repeats of this tree's time over the base's.  Absolute
 seconds from different runs are not comparable on a machine whose CPU speed
-drifts; these paired ratios are.
+drifts; these paired ratios are.  The report names the base's commit, so a
+base that is not the top of a git checkout (a ``git archive`` tree) is
+refused with exit 2; make one with ``git worktree add TREE COMMIT``.
 
 The rungs are of four kinds.  An oracle rung is one or more shapes, a k
 and a run of n, timed by the routes ``localization``
@@ -34,7 +36,7 @@ then five wide ones whose n reaches far past the flips.
 A walk rung is one ``tableaux.weight_vectors`` call on a tall hook with as
 many letters as rows (route ``weights``).  A table rung gives every shape
 up to a size the distinct weights and multiplicities of its fillings at
-every k up to a bound, by ``chern.weight_counts`` with one shared table
+every k up to a bound, by ``schur.weight_counts`` with one shared table
 (route ``table``, timed on this tree only, as a base tree may lack it) and
 by counting ``tableaux.weight_vectors`` (route ``enumeration``); it reports
 ``table_over_enumeration``, the ratio of their medians on this tree.
@@ -114,7 +116,7 @@ if route in ("table", "enumeration"):
     pairs = [(lam, k) for lam in partitions_up_to(size) for k in range(1, top + 1)]
     start = perf_counter()
     if route == "table":
-        from schur_isotropy.chern import weight_counts
+        from schur_isotropy.schur import weight_counts
         table = {}
         counts = [weight_counts(lam, k, table) for lam, k in pairs]
     else:
@@ -180,13 +182,17 @@ def time_once(tree: Path, route: str, spec) -> dict:
     return json.loads(done.stdout)
 
 
-def commit_of(tree: Path) -> str:
-    """HEAD of the tree when it is a git checkout; 'unknown' otherwise."""
+def commit_of(tree: Path) -> str | None:
+    """HEAD of the tree when it is the top of a git checkout; None otherwise,
+    as for a tree unpacked inside another checkout."""
     done = subprocess.run(
-        ["git", "-C", str(tree), "rev-parse", "HEAD"],
+        ["git", "-C", str(tree), "rev-parse", "--show-toplevel", "HEAD"],
         capture_output=True, text=True,
     )
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
+    top, _, commit = done.stdout.strip().partition("\n")
+    if done.returncode or Path(top).resolve() != tree:
+        return None
+    return commit
 
 
 def timed(route: str, spec, base: Path | None) -> tuple[dict, list[dict], list[dict]]:
@@ -220,6 +226,12 @@ def main() -> int:
                         help="a second source tree to time alongside, paired")
     args = parser.parse_args()
     base = args.base.resolve() if args.base else None
+    base_commit = commit_of(base) if base else None
+    if base and not base_commit:
+        parser.error(
+            f"--base {base} is not a git checkout, so the report could not name"
+            " its commit; make one with: git worktree add TREE COMMIT"
+        )
 
     def same(runs: list[dict], key: str) -> bool:
         return len({json.dumps(run[key]) for run in runs}) == 1
@@ -279,7 +291,7 @@ def main() -> int:
         "min_seconds": MIN_SECONDS,
     }
     if base is not None:
-        report["base_commit"] = commit_of(base)
+        report["base_commit"] = base_commit
     report["rungs"] = rungs
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0 if agree else 1

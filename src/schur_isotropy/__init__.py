@@ -8,8 +8,9 @@ associated bundle on Gr(k, n)) cross-validates the rules on small instances.
 
 Importing the package loads the decision and localization core (errors,
 partitions, schur, isotropy, chern).  Both oracle routes read the weight
-table chern.weight_counts; the truncated expansion, top_chern_nonzero with
-ChernVerdict, lives in sympoly beside its multiply.  The names of the
+table schur.weight_counts and import nothing from each other: chern holds the
+localization sum, and sympoly the truncated expansion, top_chern_nonzero with
+ChernVerdict, beside its multiply.  The names of the
 verification layer (proofs), the reference filling walk (tableaux) and the
 Schur expansion (sympoly) load their module on first use.
 """

@@ -1,12 +1,10 @@
-"""Non-vanishing of the top Chern class of Schur-functor bundles on Gr(k, n).
+"""Top Chern classes of Schur-functor bundles on Gr(k, n), by localization.
 
 The machine-checkable counterpart of the closed-form decision rules: the
-class's Chern roots, the weights of S_shape(C^k), and the sign of its
-degree against a power of sigma_1.  ``weight_counts`` builds the roots by
-the branching rule; both oracle routes read them from it, this module's
-localization sum and the truncated Schur expansion of the ``oracle``
-command (``sympoly.top_chern_nonzero``).  The filling walk (``tableaux``) is
-a reference that no route loads.
+sign of the class's degree against a power of sigma_1, from its Chern
+roots, the weights of S_shape(C^k) that ``schur.weight_counts`` lists.  The
+``oracle`` command's truncated Schur expansion (``sympoly``) reads the same
+roots; the two routes import nothing from each other.
 
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
@@ -41,10 +39,9 @@ from .errors import (
     InternalNonIntegral,
     InvalidRange,
     SizeGuard,
-    ZeroBundle,
 )
-from .partitions import Partition, horizontal_strip_predecessors
-from .schur import schur_ones_hook_content
+from .partitions import Partition
+from .schur import _refuse_zero_bundle, schur_ones_hook_content, weight_counts
 
 # The localization_cost at any one (shape, n) above which localization_integrals
 # refuses to start.  Measured at the cap on a 2-core x86_64: about 0.3-0.9 s
@@ -75,47 +72,6 @@ def _refuse_over_cap(k: int, n: int, degree: int) -> None:
             f" ({comb(n, k)} fixed points times {degree} + {k * (n - k)}),"
             f" over the cap {LOCALIZATION_COST_CAP}"
         )
-
-
-def _refuse_zero_bundle(shape: Partition, k: int) -> None:
-    """Raise ZeroBundle when shape has more than k rows."""
-    if len(shape) > k:
-        raise ZeroBundle(
-            f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
-        )
-
-
-def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, int]:
-    """{weight: the number of fillings with it}, the multiset of
-    tableaux.weight_vectors, by the branching rule: W(shape, m) is the union
-    over the mu with shape/mu a horizontal strip (the entries m) of
-    W(mu, m - 1) times |shape| - |mu|.  The shapes each alphabet needs are
-    listed from max_entry down, then built up one alphabet at a time, in the
-    memory of two however large max_entry is.  ``table`` keeps each
-    (shape, max_entry) asked for and answers it again.
-    """
-    shape = Partition(shape)
-    levels, m = [{shape: None}], max_entry  # per alphabet, shapes and strips
-    while m and levels[-1]:
-        below = {}
-        for lam in levels[-1]:
-            if lam and (lam, m) not in table and len(lam) <= m:
-                levels[-1][lam] = strips = horizontal_strip_predecessors(lam)
-                below.update(dict.fromkeys(strips))
-        levels.append(below)
-        m -= 1
-    built = {}
-    for m, level in zip(range(m, max_entry + 1), reversed(levels)):
-        built, below = {}, built
-        for lam, strips in level.items():
-            found = built[lam] = table.get((lam, m), {} if lam else {(0,) * m: 1})
-            for mu in strips or ():
-                last = (lam.size - mu.size,)
-                for weight, count in below[mu].items():
-                    weight += last
-                    found[weight] = found.get(weight, 0) + count
-    table[shape, max_entry] = built[shape]
-    return built[shape]
 
 
 def _lanes(shapes: list[Partition], k: int, n: int, table: dict) -> tuple:
@@ -247,14 +203,16 @@ def flip_points(
     positive value.  Each Gr(k, n) is walked at most once: a round makes one
     pass per k, at its least pending n, for every pair pending there.  Each
     k's weights are packed at its first pass and again when a later n needs
-    wider lanes.  A round first checks the localization_cost of every pending
-    pair's candidate (k by first appearance, then pair order), so one over
-    LOCALIZATION_COST_CAP raises SizeGuard before the round does any work.
+    wider lanes.  A pair with more rows than k raises ZeroBundle as it is
+    queued, before any work.  A round first checks the localization_cost of
+    every pending pair's candidate (k by first appearance, then pair order),
+    so one over LOCALIZATION_COST_CAP raises SizeGuard before any pass of it.
     """
     flips, pending, lanes, table = {}, {}, {}, {}
     for (shape, k), degree in degrees.items():
         flips[shape, k] = min(max(k + 1, k - (-degree // k)), max_n + 1)
         if flips[shape, k] <= max_n:
+            _refuse_zero_bundle(shape, k)
             pending.setdefault(k, []).append(shape)
     while pending:
         for k, shapes in pending.items():  # every candidate, before any pass
@@ -263,8 +221,6 @@ def flip_points(
         for k, shapes in pending.items():
             n = min(flips[shape, k] for shape in shapes)
             if k not in lanes or lanes[k][-1] < n:  # first, or past its width
-                for shape in shapes:
-                    _refuse_zero_bundle(shape, k)
                 lanes[k] = _lanes(shapes, k, n, table)
             batch = [(s, degrees[s, k]) for s in shapes if flips[s, k] == n]
             for shape, value in _pass(k, n, batch, lanes[k]).items():

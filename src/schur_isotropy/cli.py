@@ -263,9 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Execute one command; returns the process exit code."""
-    if hasattr(sys, "set_int_max_str_digits"):  # print answers of any length
+    """Execute one command; returns the process exit code.  Answers of any
+    length print: Python's int-to-str digit limit is lifted for the command
+    and restored on every way out, so the caller's interpreter keeps it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
         sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
+    """Parse argv, run its command and print the Output; the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -4,15 +4,16 @@ The one dimension function: C(n+d-1, d) for a row (d), C(n, d) for a
 column 1^d, the hook-content product otherwise.  The verification route,
 the horizontal-strip recurrence, lives in ``proofs`` with the identities
 that compare the two.  The value is the number of fillings, which the
-enumeration cap reads.
+enumeration cap reads; ``weight_counts`` lists their weights, the Chern
+roots that both oracle routes, ``chern`` and ``sympoly``, read.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .errors import InternalNonIntegral, SizeGuard
-from .partitions import Partition
+from .errors import InternalNonIntegral, SizeGuard, ZeroBundle
+from .partitions import Partition, horizontal_strip_predecessors
 
 
 def schur_ones_hook_content(shape: Partition, n: int) -> int:
@@ -52,3 +53,44 @@ def _refuse_over_fillings(shape: Partition, max_entry: int, count: int, cap: int
             f"{count} tableaux of shape {shape.as_text()} with entries"
             f" up to {max_entry} exceeds the cap {cap}"
         )
+
+
+def _refuse_zero_bundle(shape: Partition, k: int) -> None:
+    """Raise ZeroBundle when shape has more than k rows."""
+    if len(shape) > k:
+        raise ZeroBundle(
+            f"shape {shape.as_text()} has more than k={k} rows; the bundle is zero"
+        )
+
+
+def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, int]:
+    """{weight: the number of fillings with it}, the multiset of
+    tableaux.weight_vectors, by the branching rule: W(shape, m) is the union
+    over the mu with shape/mu a horizontal strip (the entries m) of
+    W(mu, m - 1) times |shape| - |mu|.  The shapes each alphabet needs are
+    listed from max_entry down, then built up one alphabet at a time, in the
+    memory of two however large max_entry is.  ``table`` keeps each
+    (shape, max_entry) asked for and answers it again.
+    """
+    shape = Partition(shape)
+    levels, m = [{shape: None}], max_entry  # per alphabet, shapes and strips
+    while m and levels[-1]:
+        below = {}
+        for lam in levels[-1]:
+            if lam and (lam, m) not in table and len(lam) <= m:
+                levels[-1][lam] = strips = horizontal_strip_predecessors(lam)
+                below.update(dict.fromkeys(strips))
+        levels.append(below)
+        m -= 1
+    built = {}
+    for m, level in zip(range(m, max_entry + 1), reversed(levels)):
+        built, below = {}, built
+        for lam, strips in level.items():
+            found = built[lam] = table.get((lam, m), {} if lam else {(0,) * m: 1})
+            for mu in strips or ():
+                last = (lam.size - mu.size,)
+                for weight, count in below[mu].items():
+                    weight += last
+                    found[weight] = found.get(weight, 0) + count
+    table[shape, max_entry] = built[shape]
+    return built[shape]

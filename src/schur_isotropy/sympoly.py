@@ -1,6 +1,6 @@
 """Sparse exact-coefficient polynomials in k variables, Schur-basis expansion,
 and the ``oracle`` command's route to the top Chern class: top_chern_nonzero
-multiplies the forms of the Chern roots that ``chern.weight_counts`` lists,
+multiplies the forms of the Chern roots that ``schur.weight_counts`` lists,
 cut to the k x (n - k) box of Gr(k, n), and reads the Schur coefficients that
 survive.  The package import leaves this module out; the ``oracle`` command
 and the first use of one of its names load it.
@@ -12,7 +12,6 @@ from itertools import chain
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .chern import _refuse_zero_bundle, weight_counts
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_TERM_CAP,
@@ -22,7 +21,9 @@ from .errors import (
     NotSymmetric,
 )
 from .partitions import Partition
-from .schur import _refuse_over_fillings, schur_ones_hook_content
+from .schur import (
+    _refuse_over_fillings, _refuse_zero_bundle, schur_ones_hook_content, weight_counts
+)
 
 SHORTCUT_NONE = "none"
 SHORTCUT_DEGREE = "degree-exceeds-top"

@@ -2,7 +2,7 @@
 
 ``count_ssyt`` counts fillings column by column without listing them;
 ``weight_vectors`` walks every filling row by row and records only its
-weight.  Both oracle routes read that multiset from ``chern.weight_counts``,
+weight.  Both oracle routes read that multiset from ``schur.weight_counts``,
 built from smaller shapes; the tests check it against this walk.  No oracle
 call loads this module; ``self-check`` reruns the count.  The walk's size
 cap is checked against the hook-content product, which equals the number of

@@ -181,6 +181,8 @@ def test_localization_integral_shortcuts_and_guards():
     assert integral(Partition(), 2, 4) == 0
     with pytest.raises(InvalidRange):
         integral(Partition((1,)), 3, 2)
+    with pytest.raises(InvalidRange, match="k must be positive"):
+        integral(Partition((1,)), 0, 2)
     with pytest.raises(ZeroBundle):
         integral(Partition((1, 1, 1)), 2, 5)
     with pytest.raises(SizeGuard):
@@ -208,9 +210,10 @@ def test_a_flip_search_asks_no_rows_of_a_pair_past_max_n():
 def test_a_flip_search_packs_for_the_n_it_walks(monkeypatch):
     # max_n = 10^19 does not size the lanes: (1,) flips at n = 3 on 2-byte
     # lanes, and (260,) at 2 + ceil(261/2) = 133, past their reach, on 4-byte
-    # lanes packed again for it
+    # lanes packed again for it; each pair's row count is checked once, as
+    # it is queued, and not again at the second packing
     small, long = Partition((1,)), Partition((260,))
-    true_lanes, packed = chern._lanes, []
+    true_lanes, packed, refused = chern._lanes, [], []
 
     def recording(shapes, k, n, table):
         lanes = true_lanes(shapes, k, n, table)
@@ -218,9 +221,11 @@ def test_a_flip_search_packs_for_the_n_it_walks(monkeypatch):
         return lanes
 
     monkeypatch.setattr(chern, "_lanes", recording)
+    monkeypatch.setattr(chern, "_refuse_zero_bundle", lambda *pair: refused.append(pair))
     degrees = {(shape, 2): schur_ones_hook_content(shape, 2) for shape in (small, long)}
     assert chern.flip_points(degrees, 10**19) == {(small, 2): 3, (long, 2): 133}
     assert packed == [(2, 3, "h"), (2, 133, "i")]
+    assert refused == [(small, 2), (long, 2)]
     assert decide(Partition((2, 2)), 2, 10**19).isotropic
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from schur_isotropy import chern, isotropy
+from schur_isotropy import Partition, chern, decide, isotropy
 from schur_isotropy.cli import build_parser, run
 
 SCHEMA = json.loads(
@@ -41,12 +41,39 @@ def test_a_dimension_past_the_int_print_limit_is_an_answer(capsys):
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         code, envelope = run_json(capsys, ["dim", "--lambda", "50000", "--n", "50000"])
+        if limit:  # run restores the limit, so lift it to spell the expected answer
+            sys.set_int_max_str_digits(0)
         expected = str(comb(99999, 50000))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
     assert code == 0
     assert envelope["result"]["dim"] == expected
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_run_leaves_the_int_print_limit_as_it_found_it(capsys):
+    # run lifts the limit only for its command: after an answer, a domain
+    # error or a usage error, the caller's limit is back, and the library's
+    # decide still refuses to print a 60203-digit dimension in its detail line
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for argv, code in [
+            (["dim", "--lambda", "2,1", "--n", "3"], 0),
+            (["dim", "--lambda", "50000", "--n", "50000", "--json"], 0),
+            (["decide", "--lambda", "2,1", "--k", "3", "--n", "2"], 1),
+            (["decide", "--lambda", "2,1", "--k", "0", "--n", "6"], 2),
+        ]:
+            assert run(argv) == code, argv
+            assert sys.get_int_max_str_digits() == 5000, argv
+        capsys.readouterr()
+        with pytest.raises(ValueError, match="limit"):
+            decide(Partition((100000,)), 100000, 200000)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_decide_json_matches_published_shape(capsys):
@@ -414,6 +441,13 @@ def test_domain_errors_exit_1(capsys):
     assert run(["decide", "--lambda", "2,1", "--k", "3", "--n", "2"]) == 1
     capsys.readouterr()
 
+    # n < k reaches the range checks of the proof chain and of Lemma 3.6
+    for command in ("proof-chain", "check-lemma36"):
+        assert run([command, "--lambda", "2,1", "--k", "3", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need "), command
+
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
@@ -545,6 +579,39 @@ def test_the_package_imports_form_no_cycle():
 
     assert "chern" in graph["isotropy"]  # read from "from . import chern"
     assert sorted(name for name in graph if name in reached(name)) == []
+
+
+def test_the_two_oracle_routes_import_nothing_from_each_other():
+    # the weight table and its zero-bundle guard live in schur beside the
+    # dimension, the table's total; chern (localization) and sympoly (the
+    # truncated expansion) both read them there
+    package = Path(__file__).resolve().parent.parent / "src" / "schur_isotropy"
+    trees = {name: ast.parse((package / f"{name}.py").read_text())
+             for name in ("schur", "chern", "sympoly")}
+
+    def defined(name):
+        return {node.name for node in trees[name].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    def imported(name):
+        # (module, name) per relative import; (module, None) for "from . import module"
+        return {
+            (node.module, alias.name) if node.module else (alias.name, None)
+            for node in ast.walk(trees[name])
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+
+    table = {"weight_counts", "_refuse_zero_bundle"}
+    assert table <= defined("schur")
+    assert table & (defined("chern") | defined("sympoly")) == set()
+    assert {name for module, name in imported("chern") if module == "partitions"} == {
+        "Partition"
+    }
+    assert table <= {name for module, name in imported("chern") if module == "schur"}
+    assert table <= {name for module, name in imported("sympoly") if module == "schur"}
+    assert {module for module, _ in imported("chern")} & {"sympoly", "tableaux"} == set()
+    assert "chern" not in {module for module, _ in imported("sympoly")}
 
 
 def test_chern_holds_only_the_localization_route_and_imports_at_module_level():

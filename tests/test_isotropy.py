@@ -278,6 +278,10 @@ def test_min_isotropic_n():
     assert min_isotropic_n(Partition((2, 2, 2)), 2) == 2
     # the even-ambient exception can delay isotropy past the binomial threshold
     assert min_isotropic_n(Partition((1, 1, 1, 1)), 5) == 7
+    with pytest.raises(EmptyPartition):
+        min_isotropic_n(Partition(), 3)
+    with pytest.raises(InvalidRange):
+        min_isotropic_n(Partition((2, 1)), 0)
 
 
 def _first_isotropic_n(lam, k):

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schur_isotropy.errors import (
+    EmptyPartition,
     MalformedInput,
     NonPositivePart,
     NotWeaklyDecreasing,
@@ -166,6 +167,8 @@ def test_strip_full_height_columns():
     assert strip_full_height_columns(Partition((3, 3, 1))) == Partition((2, 2))
     assert strip_full_height_columns(Partition((4, 4, 4))) == Partition()
     assert strip_full_height_columns(Partition((2, 1))) == Partition((1,))
+    with pytest.raises(EmptyPartition):
+        strip_full_height_columns(Partition())
 
 
 def test_partitions_of_order_and_count():

@@ -163,6 +163,8 @@ def test_symmetric_power_ratio_gain():
             assert symmetric_power_ratio_gain(d, alpha) == dimension_ratio_gain(
                 Partition((d,)), alpha
             )
+    with pytest.raises(ValueError, match="alpha must be at least 2"):
+        symmetric_power_ratio_gain(3, 1)
 
 
 def test_rejects_negative_alphabet():

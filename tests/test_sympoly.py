@@ -131,3 +131,6 @@ def test_mul_linear_cancellation():
     f = SymPoly(2, {(1, 0): 1, (0, 1): -1})
     g = f.mul_linear((1, 1))
     assert g.terms == {(2, 0): 1, (0, 2): -1}
+    # one coefficient per variable
+    with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
+        f.mul_linear((1, 1, 1))

@@ -63,6 +63,8 @@ def test_count_known_values():
     assert count_ssyt(Partition((1, 1, 1)), 5) == 10
     assert count_ssyt(Partition(), 0) == 1
     assert count_ssyt(Partition((3, 1)), 0) == 0
+    with pytest.raises(ValueError, match="max_entry must be nonnegative"):
+        count_ssyt(Partition((2, 1)), -1)
 
 
 def test_count_single_row_is_binomial():
