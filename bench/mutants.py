@@ -58,6 +58,18 @@ MUTANTS = (
      "            sys.set_int_max_str_digits(limit)",
      "            pass",
      "fails", "run leaves the int-to-str limit lifted for its caller"),
+    ("isotropy.py",
+     "        if d % 2 == 0:",
+     "        if d % 2:",
+     "fails", "the (n-2)-form exception moves from the even columns to the odd"),
+    ("isotropy.py",
+     "                k <= 4, RULE_EXCEPTION_SKEW_3_N7, None,",
+     "                k <= 5, RULE_EXCEPTION_SKEW_3_N7, None,",
+     "fails", "alternating 3-forms on C^7 read isotropic at k = 5"),
+    ("schur.py",
+     "_BOX_CAP = 10**6",
+     "_BOX_CAP = 10**7",
+     "fails", "a shape one box over the cap runs the product; the 60 s alarm ends it"),
     ("chern.py",
      "        if value < 0:",
      "        if value < -1:",

@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 
 # name -> the submodule that defines it, imported on first access
 _LAZY = {
-    "DimensionValue": "proofs",
     "InequalityReport": "proofs",
     "dim_schur_module": "proofs",
     "schur_ones_recurrence": "proofs",
@@ -58,7 +57,6 @@ def __getattr__(name: str):
 __all__ = [
     "AgreementCase",
     "ChernVerdict",
-    "DimensionValue",
     "DomainError",
     "InequalityReport",
     "Partition",

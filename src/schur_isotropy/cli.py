@@ -118,7 +118,7 @@ def _format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> list[str]
 def _cmd_dim(args):
     from .proofs import dim_schur_module
 
-    dim = dim_schur_module(args.lam, args.n).value
+    dim = dim_schur_module(args.lam, args.n)
     return Output(
         {"lambda": list(args.lam), "n": args.n, "dim": str(dim)},
         ["lambda", "n", "dim"], [[args.lam, args.n, dim]],

@@ -41,11 +41,11 @@ class InvalidRange(DomainError):
 
 
 class OutOfTheoremScope(DomainError):
-    """Parameters not covered by any closed-form rule or by the oracle caps."""
+    """A (shape, k) outside the main theorem, whose proof chain alone is replayed."""
 
 
 class SizeGuard(DomainError):
-    """Predicted fillings over the enumeration cap, or localization cost over its cap."""
+    """Predicted fillings, localization cost or a shape's boxes over its cap."""
 
 
 class DegreeGuard(DomainError):

@@ -7,14 +7,15 @@ of the top Chern class of S_shape(S^*) on Gr(k, n).  That is the main
 theorem for shapes with at least two rows and two columns (k >= 3), and
 Tevelev's criteria for one row (dim = C(d+k-1, d)) and one column
 (dim = C(k, d)).  Only the exceptional families leave it: the two degree-2
-shapes, alternating (n-2)-forms with n even, and alternating 3-forms on
-C^7.  The remaining corner (k = 2 with a two-row, two-column shape (a, b))
-is ample: S_(a,b)(S^*) = det(S^*)^b (x) Sym^(a-b)(S^*) is an ample line
-bundle times a globally generated bundle, so by Bloch-Gieseker its top
-Chern class is nonzero exactly when its degree fits, at the same
-threshold.  No decision reads ``chern``; ``run_sweep`` compares the rules
-with the top Chern class over a grid of small instances, at the flip
-points of one ``chern.flip_points`` search.
+shapes, and one n per column in ``_route``'s exception table: alternating
+(n-2)-forms with n even and 3-forms on C^7.  The remaining corner (k = 2
+with a two-row, two-column shape (a, b)) is ample: S_(a,b)(S^*) =
+det(S^*)^b (x) Sym^(a-b)(S^*) is an ample line bundle times a globally
+generated bundle, so by Bloch-Gieseker its top Chern class is nonzero
+exactly when its degree fits, at the same threshold.  No decision reads
+``chern``; ``run_sweep`` compares the rules with the top Chern class over a
+grid of small instances, at the flip points of one ``chern.flip_points``
+search.
 
 The degree-2 shapes flip at different points.  A generic symmetric form
 (shape (2,)) is nondegenerate, so its isotropic subspaces have dimension
@@ -112,7 +113,8 @@ def decide(shape: Partition, k: int, n: int) -> Verdict:
 
 def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
     """decide's rule for a nonempty shape at k, as a map from n >= k to its
-    Verdict."""
+    Verdict: the exception table's entry at n, else the verdict on n >= t.
+    Only the k = 2 corner, whose detail names n, is a closure of its own."""
     rows = len(shape)
 
     if rows > k:
@@ -126,6 +128,7 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
     # every rule but the degree-2 shapes flips at n >= dim/k + k
     dim = schur_ones_hook_content(shape, k)
     t = k + _ceil_div(dim, k)
+    exceptions: dict[int, Verdict] = {}
     if shape == (2,):
         t, rule = 2 * k, RULE_EXCEPTION_DEGREE_2
         detail = f"degree-2 forms are isotropic iff n >= 2k = {t}"
@@ -140,28 +143,21 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
         )
     elif shape[0] == 1:
         d = rows  # single column of height d >= 3, dim = C(k, d)
+        rule = RULE_TEVELEV_SKEW
         detail = (
             f"alternating {d}-forms are isotropic iff n >= C({k},{d})/{k} + {k};"
             f" minimal n = {t}"
         )
-        tevelev = [Verdict(isotropic, RULE_TEVELEV_SKEW, t, detail)
-                   for isotropic in (False, True)]
-
-        def single_column(n: int) -> Verdict:
-            if d == n - 2 and n % 2 == 0:
-                return Verdict(
-                    k <= n - 2, RULE_EXCEPTION_SKEW_N_MINUS_2, None,
-                    f"alternating (n-2)-forms with n={n} even are isotropic"
-                    f" iff k <= {n - 2}",
-                )
-            if d == 3 and n == 7:
-                return Verdict(
-                    k <= 4, RULE_EXCEPTION_SKEW_3_N7, None,
-                    "alternating 3-forms on C^7 are isotropic iff k <= 4",
-                )
-            return tevelev[n >= t]
-
-        return single_column
+        if d % 2 == 0:
+            exceptions[d + 2] = Verdict(
+                k <= d, RULE_EXCEPTION_SKEW_N_MINUS_2, None,
+                f"alternating (n-2)-forms with n={d + 2} even are isotropic iff k <= {d}",
+            )
+        elif d == 3:
+            exceptions[7] = Verdict(
+                k <= 4, RULE_EXCEPTION_SKEW_3_N7, None,
+                "alternating 3-forms on C^7 are isotropic iff k <= 4",
+            )
     elif rows == 1:
         d = shape[0]  # single row of length d >= 3, dim = C(d+k-1, d)
         rule = RULE_TEVELEV_SYMMETRIC
@@ -189,7 +185,7 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
         return fallback
 
     verdicts = [Verdict(isotropic, rule, t, detail) for isotropic in (False, True)]
-    return lambda n: verdicts[n >= t]
+    return lambda n: exceptions.get(n) or verdicts[n >= t]
 
 
 def min_isotropic_n(shape: Partition, k: int) -> int:
@@ -199,8 +195,8 @@ def min_isotropic_n(shape: Partition, k: int) -> int:
     below start = max(threshold_n, the threshold of decide()'s rule), which
     is larger only for the degree-2 shapes: below threshold_n the top Chern
     class has degree over dim Gr(k, n), and the single-column exceptions
-    only delay isotropy.  A column height d has at most one exceptional n
-    (d + 2 when even, 7 when d = 3), so start + 1 answers if start does not.
+    only delay isotropy, each at the one n of its column in _route's table
+    (d + 2 for an even height d, 7 for d = 3), so start or start + 1 answers.
     """
     shape = Partition(shape)
     if not shape:

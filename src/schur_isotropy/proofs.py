@@ -2,15 +2,15 @@
 
 The horizontal-strip recurrence for Schur polynomials at (1, ..., 1), an
 evaluation independent of the hook-content product, and the dimension that
-cross-checks the two; the ratio gains that the threshold's proof leans on;
-the interlacing inequality family and the replay of the proof chain; and the
+cross-checks the two; the ratio gain that the threshold's proof leans on (on
+one row, the binomial gain of Tevelev's symmetric criterion); the
+interlacing inequality family and the replay of the proof chain; and the
 suites that the self-check command reruns.  Nothing in the decision or the
 sweep calls this module, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -35,14 +35,6 @@ if TYPE_CHECKING:
 # Below this size the production value is re-derived by the recurrence on
 # every call and the two must agree.
 _CROSS_CHECK_LIMIT = 8
-
-
-class DimensionValue(NamedTuple):
-    """Dimension of the degree-``shape`` symmetry module over C^n."""
-
-    value: int
-    shape: Partition
-    n: int
 
 
 def schur_ones_recurrence(shape: Partition, n: int) -> int:
@@ -71,7 +63,7 @@ def schur_ones_recurrence(shape: Partition, n: int) -> int:
     return evaluate(Partition(shape), n)
 
 
-def dim_schur_module(shape: Partition, n: int) -> DimensionValue:
+def dim_schur_module(shape: Partition, n: int) -> int:
     """Dimension via hook-content, cross-checked by the recurrence on small inputs."""
     shape = Partition(shape)
     value = schur_ones_hook_content(shape, n)
@@ -82,7 +74,7 @@ def dim_schur_module(shape: Partition, n: int) -> DimensionValue:
                 f"hook-content {value} != recurrence {alternate}"
                 f" for {shape!r}, n={n}"
             )
-    return DimensionValue(value, shape, n)
+    return value
 
 
 def dimension_ratio_gain(shape: Partition, k: int) -> Fraction:
@@ -102,17 +94,6 @@ def dimension_ratio_gain(shape: Partition, k: int) -> Fraction:
     )
 
 
-def symmetric_power_ratio_gain(d: int, alpha: int) -> Fraction:
-    """C(d+a-1, d)/a - C(d+a-2, d)/(a-1), the single-row ratio gain, for a >= 2."""
-    from fractions import Fraction
-
-    if alpha < 2:
-        raise ValueError(f"alpha must be at least 2, got {alpha}")
-    return Fraction(comb(d + alpha - 1, d), alpha) - Fraction(
-        comb(d + alpha - 2, d), alpha - 1
-    )
-
-
 class InequalityRow(NamedTuple):
     index: int
     lhs: int
@@ -123,9 +104,6 @@ class InequalityRow(NamedTuple):
 class InequalityReport(NamedTuple):
     """The interlacing inequality family dim(C^(k-i)) <= (k-i)(n-k-i)."""
 
-    shape: Partition
-    k: int
-    n: int
     rows: tuple[InequalityRow, ...]
 
     @property
@@ -149,7 +127,7 @@ def tevelev_inequalities(shape: Partition, k: int, n: int) -> InequalityReport:
         lhs = schur_ones_hook_content(shape, k - i)
         rhs = (k - i) * (n - k - i)
         rows.append(InequalityRow(i, lhs, rhs, lhs <= rhs))
-    return InequalityReport(shape, k, n, tuple(rows))
+    return InequalityReport(tuple(rows))
 
 
 def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...]:
@@ -309,7 +287,7 @@ def self_check_suites() -> list[tuple[str, list[bool]]]:
             for k in range(3, 8) if len(s) <= k - 2
         ]),
         ("binomial-ratio-gain-one", [
-            symmetric_power_ratio_gain(d, alpha) >= 1
+            gain(Partition((d,)), alpha) >= 1
             for d in range(3, 9) for alpha in range(2, 9)
         ]),
     ]

@@ -15,6 +15,10 @@ from math import comb
 from .errors import InternalNonIntegral, SizeGuard, ZeroBundle
 from .partitions import Partition, horizontal_strip_predecessors
 
+# the most boxes the hook-content product takes; its time grows about as the
+# square of the boxes: (200000, 2) takes about 20 s, the cap about 10 minutes
+_BOX_CAP = 10**6
+
 
 def schur_ones_hook_content(shape: Partition, n: int) -> int:
     """Product over boxes of (n + content)/(hook length), exactly.
@@ -24,7 +28,8 @@ def schur_ones_hook_content(shape: Partition, n: int) -> int:
     are multiplied as integers row by row and divided once at the end,
     which must be exact.  A shape with more rows than n picks up a zero
     factor and the value is 0.  A one-row or one-column shape takes the
-    product's closed form, a binomial, without the quadratic product.
+    product's closed form, a binomial, without the quadratic product; any
+    other shape over _BOX_CAP boxes raises SizeGuard before it is conjugated.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -33,6 +38,8 @@ def schur_ones_hook_content(shape: Partition, n: int) -> int:
         return comb(n + shape[0] - 1, shape[0])
     if shape and shape[0] == 1:
         return comb(n, len(shape))
+    if shape.size > _BOX_CAP:
+        raise SizeGuard(f"a shape of {shape.size} boxes exceeds the box cap {_BOX_CAP}")
     heights = shape.conjugate()
     numerator = hooks = 1
     for i, width in enumerate(shape, start=1):

@@ -24,7 +24,6 @@ from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.proofs import (
     dimension_ratio_gain,
     schur_ones_recurrence,
-    symmetric_power_ratio_gain,
     tevelev_inequalities,
 )
 from schur_isotropy.schur import schur_ones_hook_content
@@ -149,7 +148,7 @@ def test_criterion_5_inequality_suites():
 
     for d in range(3, 9):
         for alpha in range(2, 9):
-            if symmetric_power_ratio_gain(d, alpha) < 1:
+            if dimension_ratio_gain(Partition((d,)), alpha) < 1:
                 failures.append(("binomial", d, alpha))
 
     elapsed = time.perf_counter() - start

@@ -14,6 +14,7 @@ from schur_isotropy.isotropy import (
     RULE_ORACLE_FALLBACK,
     AgreementCase,
     decide,
+    min_isotropic_n,
     run_sweep,
 )
 from schur_isotropy.partitions import Partition, partitions_up_to
@@ -193,6 +194,31 @@ def test_localization_integral_shortcuts_and_guards():
     assert integral(Partition((1,)), 1, 5) == 1
     # Gr(300, 301) is P^300 again, with S^* of rank 300 and c_300(S^*) its point
     assert integral(Partition((1,)), 300, 301) == 1
+
+
+def test_the_late_flips_past_the_sweep_cap_are_the_exceptional_families():
+    # every pair of size <= 6 at rows <= k <= 6 with D <= 120, three times
+    # the sweep's dim cap: each flips by n = 40 where min_isotropic_n says,
+    # and exactly the exceptional families flip past n0 = k + ceil(D/k)
+    degrees = {}
+    for shape in partitions_up_to(6):
+        for k in range(max(1, len(shape)), 7):
+            degree = schur_ones_hook_content(shape, k)
+            if shape and degree <= 120:
+                degrees[shape, k] = degree
+    assert len(degrees) == 98
+    flips = chern.flip_points(degrees, 40)
+    late = {}
+    for (shape, k), flip in flips.items():
+        assert flip <= 40 and flip == min_isotropic_n(shape, k), (shape, k, flip)
+        if flip > k - (-degrees[shape, k] // k):
+            late[tuple(shape), k] = flip
+    assert late == {
+        **{((2,), k): 2 * k for k in range(3, 7)},
+        **{((1, 1), k): 2 * k - 1 for k in range(3, 7)},
+        ((1, 1, 1), 5): 8,
+        ((1, 1, 1, 1), 5): 7,
+    }
 
 
 def test_a_flip_search_refuses_a_shape_with_more_rows_than_k():

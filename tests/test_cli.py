@@ -449,6 +449,17 @@ def test_domain_errors_exit_1(capsys):
         assert captured.err.startswith("error: need "), command
 
 
+def test_a_shape_over_the_box_cap_exits_1_with_an_error(capsys):
+    # one box over the hook-content cap: decide and min-n refuse at once
+    # instead of running the quadratic product
+    for argv in (["decide", "--lambda", "999999,2", "--k", "2", "--n", "5"],
+                 ["min-n", "--lambda", "999999,2", "--k", "2"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a shape of 1000001 boxes"), argv
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

@@ -5,14 +5,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from schur_isotropy import proofs
-from schur_isotropy.errors import InternalMismatch
+from schur_isotropy.errors import InternalMismatch, SizeGuard
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.proofs import (
     _CROSS_CHECK_LIMIT,
     dim_schur_module,
     dimension_ratio_gain,
     schur_ones_recurrence,
-    symmetric_power_ratio_gain,
 )
 from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.tableaux import count_ssyt
@@ -37,11 +36,9 @@ def test_recurrence_known_values():
 
 
 def test_dim_schur_module():
-    assert dim_schur_module(Partition((2, 1)), 3).value == 8
-    assert dim_schur_module(Partition((1, 1, 1)), 5).value == 10
-    assert dim_schur_module(Partition(), 7).value == 1
-    dv = dim_schur_module(Partition((2, 1)), 3)
-    assert (dv.shape, dv.n) == (Partition((2, 1)), 3)
+    assert dim_schur_module(Partition((2, 1)), 3) == 8
+    assert dim_schur_module(Partition((1, 1, 1)), 5) == 10
+    assert dim_schur_module(Partition(), 7) == 1
 
 
 def test_dim_schur_module_cross_checks_by_the_recurrence(monkeypatch):
@@ -156,15 +153,22 @@ def test_ratio_gain_at_least_one():
 def test_symmetric_power_ratio_gain():
     for d in range(3, 9):
         for alpha in range(2, 9):
-            assert symmetric_power_ratio_gain(d, alpha) >= 1, (d, alpha)
-    # the gain also matches the single-row shape computed the generic way
-    for d in range(3, 6):
-        for alpha in range(2, 6):
-            assert symmetric_power_ratio_gain(d, alpha) == dimension_ratio_gain(
-                Partition((d,)), alpha
-            )
-    with pytest.raises(ValueError, match="alpha must be at least 2"):
-        symmetric_power_ratio_gain(3, 1)
+            assert dimension_ratio_gain(Partition((d,)), alpha) >= 1, (d, alpha)
+
+
+def test_a_shape_over_the_box_cap_is_refused_before_it_is_conjugated(monkeypatch):
+    # (999999, 2) has 1000001 boxes, one over the cap; the refusal comes
+    # before the conjugate, which for (2 * 10**9, 2) would not fit in memory
+    def no_conjugate(shape):
+        raise AssertionError("conjugate built for a shape over the box cap")
+
+    monkeypatch.setattr(Partition, "conjugate", no_conjugate)
+    with pytest.raises(SizeGuard, match="1000001 boxes"):
+        schur_ones_hook_content(Partition((999999, 2)), 2)
+    # one row or one column of any length keeps its binomial and has no cap
+    assert schur_ones_hook_content(Partition((2 * 10**6,)), 2) == 2 * 10**6 + 1
+    column = Partition((1,) * (10**6 + 1))
+    assert schur_ones_hook_content(column, 10**6 + 2) == 10**6 + 2
 
 
 def test_rejects_negative_alphabet():
