@@ -70,6 +70,26 @@ MUTANTS = (
      "_BOX_CAP = 10**6",
      "_BOX_CAP = 10**7",
      "fails", "a shape one box over the cap runs the product; the 60 s alarm ends it"),
+    ("isotropy.py",
+     "    formula = t = k - (-dim // k)",
+     "    formula = t = k + dim // k",
+     "fails", "the threshold rounds dim/k down, one n early where k does not divide dim"),
+    ("isotropy.py",
+     "                degrees[shape, k] = rule.dim",
+     "                degrees[shape, k] = _route(shape, k + 1).dim",
+     "fails", "the sweep's flip search reads the class degree of the next k"),
+    ("proofs.py",
+     '    _refuse_over(min(k, n - k) + 1, INEQUALITY_ROW_CAP, "interlacing rows")',
+     "    pass",
+     "fails", "check-lemma36 runs its 10^9 rows, to the child's time or memory limit"),
+    ("proofs.py",
+     '    _refuse_over(k - rows, DESCENT_STEP_CAP, "descent steps")',
+     "    pass",
+     "fails", "proof-chain is refused for its rows, not its descent steps"),
+    ("isotropy.py",
+     '    _refuse_over(count, SWEEP_CASE_CAP, "sweep cases")',
+     "    pass",
+     "fails", "a sweep of 1.4 * 10^10 cases runs, to the child's memory limit"),
     ("chern.py",
      "        if value < 0:",
      "        if value < -1:",

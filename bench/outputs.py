@@ -16,7 +16,10 @@ no ``src/schur_isotropy``.
 The grid, each argv with and without ``--json``: ``decide``, ``min-n``,
 ``dim``, ``check-lemma36`` and ``proof-chain`` on every shape of size <= 6
 (the empty one included) and on EXTRA_SHAPES, at 1 <= k <= 7 and
-0 <= n <= 12 (usage and domain errors included); ``oracle`` on every shape
+0 <= n <= 12 (usage and domain errors included); ``decide`` and ``min-n``
+on LONG_SHAPES, whose dimension is the hook-content product of a long row,
+at 1 <= k <= 3 and, for ``decide``, at the n of LONG_NS, which straddle
+their thresholds; ``oracle`` on every shape
 of size <= 4 at 1 <= k <= 4, k <= n <= 8; ``self-check``; and two ``sweep``
 windows, one with the oracle.  It is a dev script, not a test: pytest
 collects only ``tests/``.
@@ -37,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXTRA_SHAPES = tuple((1,) * h for h in range(7, 11)) + (
     (8,), (12,), (40,), (3, 3, 3), (5, 5, 5))
+LONG_SHAPES = ((2000, 2), (300, 200, 1))
+LONG_NS = (5, 1001, 1002, 1013369, 1013370, 2001001, 2001002)
 SWEEPS = (("5", "5", "9", "--with-oracle"), ("6", "6", "12"))
 
 
@@ -59,6 +64,13 @@ def grid() -> dict[str, list[list[str]]]:
                     for name in ("decide", "check-lemma36", "proof-chain"):
                         commands[name].append(
                             [name, *lam, "--k", str(k), "--n", str(n), *output])
+        for shape in LONG_SHAPES:
+            lam = ["--lambda", ",".join(map(str, shape))]
+            for k in range(1, 4):
+                commands["min-n"].append(["min-n", *lam, "--k", str(k), *output])
+                for n in LONG_NS:
+                    commands["decide"].append(
+                        ["decide", *lam, "--k", str(k), "--n", str(n), *output])
         for shape in (s for s in shapes if sum(s) <= 4):
             lam = ["--lambda", ",".join(map(str, shape))]
             for k in range(1, 5):

@@ -16,10 +16,9 @@ import sys
 import time
 from typing import NamedTuple, Sequence
 
-from .errors import DEFAULT_ENUMERATION_CAP, DEFAULT_TERM_CAP, DomainError, ZeroModule
-from .isotropy import decide, min_isotropic_n, run_sweep, threshold_n
+from .errors import DEFAULT_ENUMERATION_CAP, DEFAULT_TERM_CAP, DomainError
+from .isotropy import _least_isotropic, decide, run_sweep
 from .partitions import Partition, parse_partition
-from .schur import schur_ones_hook_content
 
 SCHEMA_VERSION = "1"
 
@@ -136,19 +135,11 @@ def _cmd_decide(args):
 
 
 def _cmd_min_n(args):
-    smallest = min_isotropic_n(args.lam, args.k)
-    rule = decide(args.lam, args.k, smallest).rule
-    try:
-        formula = threshold_n(args.lam, args.k)
-        dim = str(schur_ones_hook_content(args.lam, args.k))
-    except ZeroModule:
-        formula, dim = None, "0"
-    return Output(
-        {"lambda": list(args.lam), "k": args.k, "dim": dim, "threshold_n": formula,
-         "min_isotropic_n": smallest, "rule_at_min_n": rule},
-        ["lambda", "k", "dim", "threshold_n", "min_isotropic_n", "rule"],
-        [[args.lam, args.k, dim, formula, smallest, rule]],
-    )
+    found, smallest = _least_isotropic(args.lam, args.k)
+    keys = ["lambda", "k", "dim", "threshold_n", "min_isotropic_n", "rule_at_min_n"]
+    row = [args.lam, args.k, str(found.dim), found.t, smallest,
+           found.verdict(smallest).rule]
+    return Output(dict(zip(keys, row)), [*keys[:-1], "rule"], [row])
 
 
 def _cmd_oracle(args):

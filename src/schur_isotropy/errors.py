@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the expansion route's caps."""
+"""Exception types shared across the package, the expansion route's caps, and
+the refusal of counted work over a cap that the sweep and the proofs share."""
 
 DEFAULT_ENUMERATION_CAP = 1_000_000  # fillings of a shape
 DEFAULT_TERM_CAP = 5_000_000  # terms of any product
@@ -45,7 +46,14 @@ class OutOfTheoremScope(DomainError):
 
 
 class SizeGuard(DomainError):
-    """Predicted fillings, localization cost or a shape's boxes over its cap."""
+    """Predicted fillings, localization cost, a shape's boxes, or counted
+    interlacing rows, descent steps or sweep cases over its cap."""
+
+
+def _refuse_over(count: int, cap: int, what: str) -> None:
+    """Raise SizeGuard, before the work it counts, when count exceeds cap."""
+    if count > cap:
+        raise SizeGuard(f"{count} {what} exceed the cap {cap}")
 
 
 class DegreeGuard(DomainError):

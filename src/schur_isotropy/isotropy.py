@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from . import chern
-from .errors import EmptyPartition, InvalidRange, ZeroModule
+from .errors import EmptyPartition, InvalidRange, ZeroModule, _refuse_over
 from .partitions import Partition, partitions_up_to
 from .schur import schur_ones_hook_content
 
@@ -47,9 +47,10 @@ RULE_TRIVIAL = "trivial-zero-module"
 RULE_ORACLE_FALLBACK = "oracle-fallback"
 
 # run_sweep's oracle column covers k <= SWEEP_K_CAP and class degrees <=
-# SWEEP_DIM_CAP; the verdict column needs no oracle and has no cap.
+# SWEEP_DIM_CAP; it refuses more than SWEEP_CASE_CAP cases (see the README).
 SWEEP_DIM_CAP = 40
 SWEEP_K_CAP = 6
+SWEEP_CASE_CAP = 100_000
 
 class Verdict(NamedTuple):
     """Isotropy decision plus the rule that produced it.
@@ -83,8 +84,13 @@ class AgreementCase(NamedTuple):
         return self.isotropic == self.oracle_nonzero
 
 
-def _ceil_div(numerator: int, denominator: int) -> int:
-    return -(-numerator // denominator)
+class _Rule(NamedTuple):
+    """_route's record: dim = dim S_shape(C^k), t = k + ceil(dim/k) (0 and
+    None past k rows) and decide's verdict at each n >= k."""
+
+    dim: int
+    t: int | None
+    verdict: Callable[[int], Verdict]
 
 
 def threshold_n(shape: Partition, k: int) -> int:
@@ -96,7 +102,7 @@ def threshold_n(shape: Partition, k: int) -> int:
         raise InvalidRange(f"k must be positive, got {k}")
     if len(shape) > k:
         raise ZeroModule(f"shape {shape.as_text()} has more than k={k} rows")
-    return k + _ceil_div(schur_ones_hook_content(shape, k), k)
+    return _route(shape, k).t
 
 
 def decide(shape: Partition, k: int, n: int) -> Verdict:
@@ -108,13 +114,13 @@ def decide(shape: Partition, k: int, n: int) -> Verdict:
         raise EmptyPartition("the empty symmetry type carries no decision")
     if k < 1 or k > n:
         raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _route(shape, k)(n)
+    return _route(shape, k).verdict(n)
 
 
-def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
-    """decide's rule for a nonempty shape at k, as a map from n >= k to its
-    Verdict: the exception table's entry at n, else the verdict on n >= t.
-    Only the k = 2 corner, whose detail names n, is a closure of its own."""
+def _route(shape: Partition, k: int) -> _Rule:
+    """decide's rule for a nonempty shape at k, with the one evaluation of
+    its dimension: at n, the exception table's entry, else the verdict on
+    n >= the rule's threshold.  Only the k = 2 corner is its own closure."""
     rows = len(shape)
 
     if rows > k:
@@ -123,11 +129,11 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
             f"shape has {rows} rows > k={k}: the module over any k-plane is zero,"
             " so every form restricts to zero",
         )
-        return lambda n: trivial
+        return _Rule(0, None, lambda n: trivial)
 
     # every rule but the degree-2 shapes flips at n >= dim/k + k
     dim = schur_ones_hook_content(shape, k)
-    t = k + _ceil_div(dim, k)
+    formula = t = k - (-dim // k)
     exceptions: dict[int, Verdict] = {}
     if shape == (2,):
         t, rule = 2 * k, RULE_EXCEPTION_DEGREE_2
@@ -182,32 +188,34 @@ def _route(shape: Partition, k: int) -> Callable[[int], Verdict]:
                 f" class on Gr({k},{n}) is {'nonzero' if nonzero else 'zero'}",
             )
 
-        return fallback
+        return _Rule(dim, formula, fallback)
 
     verdicts = [Verdict(isotropic, rule, t, detail) for isotropic in (False, True)]
-    return lambda n: exceptions.get(n) or verdicts[n >= t]
+    return _Rule(dim, formula, lambda n: exceptions.get(n) or verdicts[n >= t])
 
 
 def min_isotropic_n(shape: Partition, k: int) -> int:
-    """Smallest n >= k for which decide() reports isotropy, in closed form.
+    """Smallest n >= k for which decide() reports isotropy (_least_isotropic)."""
+    return _least_isotropic(shape, k)[1]
 
-    With more rows than k it is k.  Otherwise no rule reports isotropy
-    below start = max(threshold_n, the threshold of decide()'s rule), which
-    is larger only for the degree-2 shapes: below threshold_n the top Chern
-    class has degree over dim Gr(k, n), and the single-column exceptions
-    only delay isotropy, each at the one n of its column in _route's table
-    (d + 2 for an even height d, 7 for d = 3), so start or start + 1 answers.
-    """
+
+def _least_isotropic(shape: Partition, k: int) -> tuple[_Rule, int]:
+    """(_route's record, min_isotropic_n) of (shape, k), from one routing.
+
+    Past k rows there is no t and start = k, where the trivial verdict holds.
+    Otherwise no rule reports isotropy below start = max(t, the threshold of
+    decide()'s rule), larger only for the degree-2 shapes: below t the class
+    degree exceeds dim Gr(k, n), and the single-column exceptions only delay
+    isotropy, each at the one n of its column in _route's table (d + 2 for
+    an even height d, 7 for d = 3), so start or start + 1 answers."""
     shape = Partition(shape)
     if not shape:
         raise EmptyPartition("the empty symmetry type carries no decision")
     if k < 1:
         raise InvalidRange(f"k must be positive, got {k}")
-    if len(shape) > k:
-        return k
-    route = _route(shape, k)
-    start = max(threshold_n(shape, k), route(k).threshold_n or 0)
-    return start if route(start).isotropic else start + 1
+    rule = _route(shape, k)
+    start = max(rule.t or k, rule.verdict(k).threshold_n or 0)
+    return rule, start if rule.verdict(start).isotropic else start + 1
 
 
 def run_sweep(
@@ -217,28 +225,34 @@ def run_sweep(
     rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
     wherever k <= SWEEP_K_CAP and the class degree is at most SWEEP_DIM_CAP.
 
-    Each (shape, k) is routed to decide's rule once for its whole run of n.
-    The oracle verdict is whether n has reached the (shape, k) flip point
-    that one chern.flip_points call finds; it agrees with top_chern_nonzero
-    at every n, and it is the only part of the sweep that reads ``chern``.
-    Order is deterministic: shapes by size then lex-decreasing, then k,
-    then n.
+    More than SWEEP_CASE_CAP cases, counted as a closed sum over k per
+    shape, raise SizeGuard first.  Each (shape, k) is routed once: its record
+    gives the verdicts for every n and the class degree whose flip point,
+    from one chern.flip_points call (the only part of the sweep that reads
+    ``chern``), sets the oracle verdict; it agrees with top_chern_nonzero at
+    every n.  Order is deterministic: shapes by size then lex-decreasing,
+    then k, then n.
     """
     shapes = [shape for shape in partitions_up_to(max_size) if shape]
+    top = min(max_k, max_n - 1)
+    # a shape of r <= top rows has max_n - k cases at each k from r to top
+    count = sum((top - r + 1) * (2 * max_n - r - top) // 2
+                for r in map(len, shapes) if r <= top)
+    _refuse_over(count, SWEEP_CASE_CAP, "sweep cases")
     oracle_k = min(max_k, SWEEP_K_CAP) if with_oracle else 0
     routes, degrees = [], {}
     for shape in shapes:
-        for k in range(len(shape), min(max_k, max_n - 1) + 1):
-            degree = schur_ones_hook_content(shape, k) if k <= oracle_k else 0
-            shown = k <= oracle_k and degree <= SWEEP_DIM_CAP
+        for k in range(len(shape), top + 1):
+            rule = _route(shape, k)
+            shown = k <= oracle_k and rule.dim <= SWEEP_DIM_CAP
             if shown:
-                degrees[shape, k] = degree
-            routes.append((shape, k, _route(shape, k), shown))
+                degrees[shape, k] = rule.dim
+            routes.append((shape, k, rule.verdict, shown))
     flips = chern.flip_points(degrees, max_n) if degrees else {}
     cases = []
-    for shape, k, route, shown in routes:
+    for shape, k, verdict, shown in routes:
         for n in range(k + 1, max_n + 1):
             oracle = n >= flips[shape, k] if shown else None
             # a Verdict starts with isotropic, rule, threshold_n
-            cases.append(AgreementCase(shape, k, n, *route(n)[:3], oracle))
+            cases.append(AgreementCase(shape, k, n, *verdict(n)[:3], oracle))
     return cases

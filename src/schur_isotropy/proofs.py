@@ -18,6 +18,7 @@ from .errors import (
     InternalMismatch,
     InvalidRange,
     OutOfTheoremScope,
+    _refuse_over,
 )
 from .partitions import (
     Partition,
@@ -35,6 +36,14 @@ if TYPE_CHECKING:
 # Below this size the production value is re-derived by the recurrence on
 # every call and the two must agree.
 _CROSS_CHECK_LIMIT = 8
+
+# The most interlacing rows, min(k, n-k) + 1, that tevelev_inequalities
+# evaluates and the most descent steps, k - rows, that verify_proof_chain
+# replays; past either they raise SizeGuard before any work.  On (2,1) at a
+# 2-core x86_64, check-lemma36 --json takes about 0.9 s at the row cap, and
+# proof-chain --json about 2.8 s at k = 99999, near both caps.
+INEQUALITY_ROW_CAP = 100_000
+DESCENT_STEP_CAP = 100_000
 
 
 def schur_ones_recurrence(shape: Partition, n: int) -> int:
@@ -118,10 +127,12 @@ class ChainStep(NamedTuple):
 
 
 def tevelev_inequalities(shape: Partition, k: int, n: int) -> InequalityReport:
-    """Evaluate dim(C^(k-i)) <= (k-i)(n-k-i) for i = 0..min(k, n-k)."""
+    """Evaluate dim(C^(k-i)) <= (k-i)(n-k-i) for i = 0..min(k, n-k); more
+    than INEQUALITY_ROW_CAP rows raise SizeGuard."""
     shape = Partition(shape)
     if k < 1 or k > n:
         raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    _refuse_over(min(k, n - k) + 1, INEQUALITY_ROW_CAP, "interlacing rows")
     rows = []
     for i in range(min(k, n - k) + 1):
         lhs = schur_ones_hook_content(shape, k - i)
@@ -139,7 +150,8 @@ def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...
     column-stripped remainder is (1), (2), (1,1); general remainder), and
     finally checks the full interlacing inequality family.  Every inequality
     is evaluated in exact arithmetic; the first failure raises
-    ChainStepFailed naming the step.
+    ChainStepFailed naming the step.  More than DESCENT_STEP_CAP steps, or
+    than INEQUALITY_ROW_CAP rows of the family, raise SizeGuard first.
     """
     from fractions import Fraction
 
@@ -152,6 +164,8 @@ def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...
     if n < k:
         raise InvalidRange(f"need n >= k, got k={k}, n={n}")
     rows = len(shape)
+    _refuse_over(k - rows, DESCENT_STEP_CAP, "descent steps")
+    report = tevelev_inequalities(shape, k, n)
     dim_at = {j: schur_ones_hook_content(shape, j) for j in range(rows, k + 1)}
     steps: list[ChainStep] = []
 
@@ -249,7 +263,6 @@ def verify_proof_chain(shape: Partition, k: int, n: int) -> tuple[ChainStep, ...
             dim_at[rows] <= rhs,
         )
 
-    report = tevelev_inequalities(shape, k, n)
     check(
         "interlacing-family",
         f"all {len(report.rows)} interlacing rows hold for i = 0..{len(report.rows) - 1}",

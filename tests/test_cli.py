@@ -460,6 +460,35 @@ def test_a_shape_over_the_box_cap_exits_1_with_an_error(capsys):
         assert captured.err.startswith("error: a shape of 1000001 boxes"), argv
 
 
+def _limit_memory():
+    # the child's address space, so a guard that fails cannot fill memory
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("check-lemma36 --lambda 2,1 --k 1000000000 --n 2000000000",
+     "1000000001 interlacing rows exceed the cap 100000"),
+    ("proof-chain --lambda 2,1 --k 1000000000 --n 2000000000",
+     "999999998 descent steps exceed the cap 100000"),
+    ("sweep --max-size 3 --max-k 3 --max-n 1000000000",
+     "13999999969 sweep cases exceed the cap 100000"),
+])
+def test_counted_work_over_its_cap_exits_1_at_once(argv, error):
+    # each argv used to run without end; its rows, descent steps or cases
+    # are counted and refused before any work, in a child under a time and
+    # memory limit, so a missing guard fails the test instead of the machine
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys; from schur_isotropy.cli import main; main()"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()],
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {error}\n")
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

@@ -3,7 +3,7 @@ from time import perf_counter
 
 import pytest
 
-from schur_isotropy import chern, isotropy
+from schur_isotropy import chern, cli, isotropy, proofs
 from schur_isotropy.errors import (
     ChainStepFailed,
     EmptyPartition,
@@ -300,21 +300,22 @@ def test_min_isotropic_n_matches_a_scan_from_k():
 
 
 def test_min_isotropic_n_starts_at_the_threshold(monkeypatch):
-    # min_isotropic_n evaluates decide's rule through the closure _route
-    # returns; the closed form needs it at n = k and at the start only
+    # min_isotropic_n evaluates decide's rule through the verdict map of
+    # the record _route returns; the closed form needs it at n = k and at
+    # the start only
     calls = []
     route = isotropy._route
 
     def counting_route(shape, k):
-        decide_at = route(shape, k)
+        rule = route(shape, k)
 
         def counted(n):
             calls.append(n)
             if len(calls) > 2:
                 raise AssertionError(f"min_isotropic_n evaluated n = {calls}")
-            return decide_at(n)
+            return rule.verdict(n)
 
-        return counted
+        return rule._replace(verdict=counted)
 
     monkeypatch.setattr(isotropy, "_route", counting_route)
     assert min_isotropic_n(Partition((5, 5, 5)), 20) == 14945768674
@@ -425,3 +426,63 @@ def test_decisions_and_a_sweep_without_the_oracle_sum_nothing(monkeypatch):
             assert min_isotropic_n(shape, 2) == t
     for window, cases in expected.items():
         assert run_sweep(*window, with_oracle=False) == cases, window
+
+
+def test_each_routing_evaluates_the_dimension_once(monkeypatch, capsys):
+    # the dimension, its threshold and the verdicts of a (shape, k) all come
+    # from one hook-content product, however many of them a caller reads
+    calls = []
+    product = isotropy.schur_ones_hook_content
+
+    def counted(shape, n):
+        calls.append((tuple(shape), n))
+        return product(shape, n)
+
+    for module in (isotropy, chern):
+        monkeypatch.setattr(module, "schur_ones_hook_content", counted)
+    assert cli.run(["min-n", "--lambda", "20,2", "--k", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split() == [
+        "20,2", "2", "19", "12", "12", "oracle-fallback"]
+    assert calls == [((20, 2), 2)]
+    calls.clear()
+    assert decide(Partition((20, 2)), 2, 12).isotropic
+    assert calls == [((20, 2), 2)]
+    calls.clear()
+    pairs = {(tuple(c.shape), c.k) for c in run_sweep(5, 5, 9, with_oracle=True)}
+    assert len(calls) == len(set(calls)) == len(pairs) == 66
+    assert set(calls) == pairs
+
+
+def test_a_sweep_counts_its_cases_before_it_routes_one(monkeypatch):
+    # the closed sum over k per shape is the sweep's length: at the cap it
+    # answers, one case over it is refused before any (shape, k) is routed
+    windows = ((5, 5, 9), (6, 6, 12), (4, 2, 5), (3, 7, 4), (6, 1, 2))
+    totals = {window: len(run_sweep(*window)) for window in windows}
+    route = isotropy._route
+    for window, total in totals.items():
+        monkeypatch.setattr(isotropy, "_route", route)
+        monkeypatch.setattr(isotropy, "SWEEP_CASE_CAP", total)
+        assert len(run_sweep(*window, with_oracle=True)) == total
+        monkeypatch.setattr(isotropy, "SWEEP_CASE_CAP", total - 1)
+        monkeypatch.setattr(isotropy, "_route", None)
+        with pytest.raises(SizeGuard) as refused:
+            run_sweep(*window)
+        assert str(refused.value) == f"{total} sweep cases exceed the cap {total - 1}"
+
+
+def test_the_interlacing_rows_and_descent_steps_are_counted_first(monkeypatch):
+    # (2,1) at k = 9, n = 36: 10 interlacing rows and 7 descent steps
+    chain = verify_proof_chain(Partition((2, 1)), 9, 36)
+    assert len(tevelev_inequalities(Partition((2, 1)), 9, 36).rows) == 10
+    monkeypatch.setattr(proofs, "INEQUALITY_ROW_CAP", 10)
+    monkeypatch.setattr(proofs, "DESCENT_STEP_CAP", 7)
+    assert verify_proof_chain(Partition((2, 1)), 9, 36) == chain
+    # (2,1) at k = 10, n = 36: 11 rows and 8 steps, refused before any
+    # dimension is evaluated
+    monkeypatch.setattr(proofs, "schur_ones_hook_content", None)
+    with pytest.raises(SizeGuard, match="^8 descent steps exceed the cap 7$"):
+        verify_proof_chain(Partition((2, 1)), 10, 36)
+    monkeypatch.setattr(proofs, "DESCENT_STEP_CAP", 8)
+    for call in (tevelev_inequalities, verify_proof_chain):
+        with pytest.raises(SizeGuard, match="^11 interlacing rows exceed the cap 10$"):
+            call(Partition((2, 1)), 10, 36)
