@@ -1,4 +1,4 @@
-"""Time the top-Chern-class routes, sweeps, tableau walks and weight tables on a ladder.
+"""Time the top-Chern-class routes, sweeps, tableau walks, weight tables and dimensions on a ladder.
 
 Run from the repository root:
 
@@ -19,7 +19,7 @@ drifts; these paired ratios are.  The report names the base's commit, so a
 base that is not the top of a git checkout (a ``git archive`` tree) is
 refused with exit 2; make one with ``git worktree add TREE COMMIT``.
 
-The rungs are of four kinds.  An oracle rung is one or more shapes, a k
+The rungs are of five kinds.  An oracle rung is one or more shapes, a k
 and a run of n, timed by the routes ``localization``
 (``chern.localization_integrals``, the sweep's verdict, one one-shape batch
 per shape for the whole run of n), ``batch`` (one call for all the rung's
@@ -39,12 +39,17 @@ up to a size the distinct weights and multiplicities of its fillings at
 every k up to a bound, by ``schur.weight_counts`` with one shared table
 (route ``table``, timed on this tree only, as a base tree may lack it) and
 by counting ``tableaux.weight_vectors`` (route ``enumeration``); it reports
-``table_over_enumeration``, the ratio of their medians on this tree.
+``table_over_enumeration``, the ratio of their medians on this tree.  A
+dimension rung is one or more (shape, n) pairs, each evaluated once by
+``schur.schur_ones_hook_content`` (route ``dimension``): first every
+nonempty shape up to a size at every k from its row count to a bound, the
+pairs whose class degrees a sweep window reads, then single long, tall,
+staircase and block shapes.
 
 The script exits 1 when a rung's routes disagree on a verdict, when a batch
 differs from its one-shape batches, when a sweep finds a disagreement, when a
 table differs from the counted walk, or when the base tree answers any rung
-differently.
+(a dimension included) differently.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ import statistics
 import subprocess
 import sys
 import time
+from itertools import groupby
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +93,18 @@ SWEEPS = tuple(
 WALKS = ((2, 600),)
 # weight tables: (largest size, largest k), every shape at every k from 1 up
 TABLES = ((5, 5),)
+# dimensions: (largest size, largest k) for every shape at every k from its
+# rows up, the pairs of the sweep-oracle window (5, 5, 9); then (shape, n)
+DIMENSIONS = (
+    (5, 5),
+    ((20000, 2), 5),
+    ((1,) * 400, 400),
+    ((1,) * 400, 800),
+    (tuple(range(20, 0, -1)), 25),
+    ((3,) * 20 + (2,) * 20 + (1,) * 20, 70),
+    ((5,) * 50, 60),
+    ((1000, 1000), 2000),
+)
 
 CHILD = """\
 import hashlib, json, sys
@@ -128,6 +146,22 @@ if route in ("table", "enumeration"):
         "digest": hashlib.sha256(
             repr([sorted(c.items()) for c in counts]).encode()
         ).hexdigest(),
+    }))
+    sys.exit()
+if route == "dimension":
+    shapes, top = spec
+    if isinstance(shapes, int):
+        pairs = [(lam, k) for lam in partitions_up_to(shapes) if lam
+                 for k in range(len(lam), top + 1)]
+    else:
+        pairs = [(Partition(shapes), top)]
+    start = perf_counter()
+    values = [schur_ones_hook_content(lam, n) for lam, n in pairs]
+    seconds = perf_counter() - start
+    print(json.dumps({
+        "s": seconds,
+        "pairs": len(pairs),
+        "digest": hashlib.sha256(repr(values).encode()).hexdigest(),
     }))
     sys.exit()
 if route == "weights":
@@ -173,6 +207,12 @@ print(json.dumps({
 """
 
 
+def runs_text(shape) -> str:
+    """The shape with each run of equal parts as part^count, e.g. 3^20,1."""
+    runs = [(part, len([*run])) for part, run in groupby(shape)]
+    return ",".join(f"{part}^{count}" if count > 1 else str(part) for part, count in runs)
+
+
 def time_once(tree: Path, route: str, spec) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run(
@@ -195,6 +235,11 @@ def commit_of(tree: Path) -> str | None:
     return commit
 
 
+def four_digits(seconds: float) -> float:
+    """Seconds to four significant digits, so a rung of microseconds keeps them."""
+    return float(f"{seconds:.4g}")
+
+
 def timed(route: str, spec, base: Path | None) -> tuple[dict, list[dict], list[dict]]:
     """Time one (rung, route) on this tree and, paired and alternating, on base."""
     runs, base_runs = [], []
@@ -206,15 +251,15 @@ def timed(route: str, spec, base: Path | None) -> tuple[dict, list[dict], list[d
         if base is not None and not repeat % 2:
             base_runs.append(time_once(base, route, spec))
         repeat += 1
-    seconds = [round(run["s"], 4) for run in runs]
-    entry = {"seconds": seconds, "median_s": round(statistics.median(seconds), 4)}
+    seconds = [four_digits(run["s"]) for run in runs]
+    entry = {"seconds": seconds, "median_s": four_digits(statistics.median(seconds))}
     if base is not None:
-        base_seconds = [round(run["s"], 4) for run in base_runs]
+        base_seconds = [four_digits(run["s"]) for run in base_runs]
         ratios = [run["s"] / other["s"] for run, other in zip(runs, base_runs)]
         entry.update(
             base_seconds=base_seconds,
-            base_median_s=round(statistics.median(base_seconds), 4),
-            ratio=round(statistics.median(ratios), 3),
+            base_median_s=four_digits(statistics.median(base_seconds)),
+            ratio=float(f"{statistics.median(ratios):.3g}"),
         )
     return entry, runs, base_runs
 
@@ -281,6 +326,16 @@ def main() -> int:
             "table": built,
             "table_over_enumeration": round(built["median_s"] / walked["median_s"], 3),
         })
+        print(json.dumps(rungs[-1]), flush=True)
+    for shapes, top in DIMENSIONS:
+        entry, runs, base_runs = timed("dimension", [shapes, top], base)
+        agree = agree and same(runs + base_runs, "digest")
+        if isinstance(shapes, int):
+            rung = {"shapes": f"every shape of size <= {shapes}, k from its rows"
+                              f" to {top}", "pairs": runs[0]["pairs"]}
+        else:
+            rung = {"lambda": runs_text(shapes), "n": top}
+        rungs.append({**rung, "dimension": entry})
         print(json.dumps(rungs[-1]), flush=True)
 
     report = {

@@ -45,7 +45,7 @@ MUTANTS = (
     ("proofs.py",
      "_CROSS_CHECK_LIMIT = 8",
      "_CROSS_CHECK_LIMIT = 0",
-     "fails", "dim no longer re-derives hook-content by the recurrence"),
+     "fails", "dim no longer re-derives the dimension by the recurrence"),
     ("schur.py",
      "                last = (lam.size - mu.size,)",
      "                last = (lam.size - mu.size + 1,)",
@@ -67,9 +67,13 @@ MUTANTS = (
      "                k <= 5, RULE_EXCEPTION_SKEW_3_N7, None,",
      "fails", "alternating 3-forms on C^7 read isotropic at k = 5"),
     ("schur.py",
-     "_BOX_CAP = 10**6",
-     "_BOX_CAP = 10**7",
-     "fails", "a shape one box over the cap runs the product; the 60 s alarm ends it"),
+     "    blocks = [*dict(zip(shape, range(1, len(shape) + 1))).items(), (0, n)]",
+     "    blocks = [*dict(zip(shape, range(1, len(shape) + 1))).items(), (0, n - 1)]",
+     "fails", "every block meets the zero rows of n - 1, not n"),
+    ("schur.py",
+     "            steps, width = (above, diff) if above < diff else (diff, above)",
+     "            steps, width = (diff, above) if above < diff else (above, diff)",
+     "fails", "each pair of blocks takes the more steps: (999999, 2) runs to the 60 s alarm"),
     ("isotropy.py",
      "    formula = t = k - (-dim // k)",
      "    formula = t = k + dim // k",
@@ -94,6 +98,11 @@ MUTANTS = (
      "        if value < 0:",
      "        if value < -1:",
      "equivalent", "the integral of a globally generated bundle is never negative"),
+    ("schur.py",
+     "        for lower, stop in blocks[upper + 1:]:",
+     "        for lower, stop in blocks[upper:]:",
+     "equivalent", "a block against itself is 0 apart in part, so it takes no step: each"
+     " pair of rows inside it gives 1"),
     ("sympoly.py",
      "        if all(expo[t] > expo[t + 1] for t in range(k - 1)):",
      "        if all(expo[t] >= expo[t + 1] for t in range(k - 1)):",

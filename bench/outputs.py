@@ -17,7 +17,7 @@ The grid, each argv with and without ``--json``: ``decide``, ``min-n``,
 ``dim``, ``check-lemma36`` and ``proof-chain`` on every shape of size <= 6
 (the empty one included) and on EXTRA_SHAPES, at 1 <= k <= 7 and
 0 <= n <= 12 (usage and domain errors included); ``decide`` and ``min-n``
-on LONG_SHAPES, whose dimension is the hook-content product of a long row,
+on LONG_SHAPES, whose dimension is Weyl's product over a long first row,
 at 1 <= k <= 3 and, for ``decide``, at the n of LONG_NS, which straddle
 their thresholds; ``oracle`` on every shape
 of size <= 4 at 1 <= k <= 4, k <= n <= 8; ``self-check``; and two ``sweep``

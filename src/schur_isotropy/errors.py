@@ -46,8 +46,8 @@ class OutOfTheoremScope(DomainError):
 
 
 class SizeGuard(DomainError):
-    """Predicted fillings, localization cost, a shape's boxes, or counted
-    interlacing rows, descent steps or sweep cases over its cap."""
+    """Predicted fillings, localization cost, or counted interlacing rows,
+    descent steps or sweep cases over its cap."""
 
 
 def _refuse_over(count: int, cap: int, what: str) -> None:

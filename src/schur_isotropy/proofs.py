@@ -1,7 +1,7 @@
 """The verification layer: what checks the decision rules rather than applies them.
 
 The horizontal-strip recurrence for Schur polynomials at (1, ..., 1), an
-evaluation independent of the hook-content product, and the dimension that
+evaluation independent of Weyl's product, and the dimension that
 cross-checks the two; the ratio gain that the threshold's proof leans on (on
 one row, the binomial gain of Tevelev's symmetric criterion); the
 interlacing inequality family and the replay of the proof chain; and the
@@ -39,9 +39,10 @@ _CROSS_CHECK_LIMIT = 8
 
 # The most interlacing rows, min(k, n-k) + 1, that tevelev_inequalities
 # evaluates and the most descent steps, k - rows, that verify_proof_chain
-# replays; past either they raise SizeGuard before any work.  On (2,1) at a
-# 2-core x86_64, check-lemma36 --json takes about 0.9 s at the row cap, and
-# proof-chain --json about 2.8 s at k = 99999, near both caps.
+# replays; past either they raise SizeGuard before any work.  On a 2-core
+# x86_64, check-lemma36 --json at the row cap takes about 1.2 s on (2,1), and
+# proof-chain --json about 3.5 s at k = 99999; a row costs more on a larger
+# shape: on (1000,1000), 2001 rows take about 0.6 s and 20001 about 13 s.
 INEQUALITY_ROW_CAP = 100_000
 DESCENT_STEP_CAP = 100_000
 
@@ -73,14 +74,14 @@ def schur_ones_recurrence(shape: Partition, n: int) -> int:
 
 
 def dim_schur_module(shape: Partition, n: int) -> int:
-    """Dimension via hook-content, cross-checked by the recurrence on small inputs."""
+    """Dimension by Weyl's product, cross-checked by the recurrence on small inputs."""
     shape = Partition(shape)
     value = schur_ones_hook_content(shape, n)
     if shape.size <= _CROSS_CHECK_LIMIT and n <= _CROSS_CHECK_LIMIT:
         alternate = schur_ones_recurrence(shape, n)
         if alternate != value:
             raise InternalMismatch(
-                f"hook-content {value} != recurrence {alternate}"
+                f"Weyl's product {value} != recurrence {alternate}"
                 f" for {shape!r}, n={n}"
             )
     return value

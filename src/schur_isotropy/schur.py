@@ -1,11 +1,10 @@
 """Exact evaluation of Schur polynomials at (1, ..., 1): dim S_shape(C^n).
 
-The one dimension function: C(n+d-1, d) for a row (d), C(n, d) for a
-column 1^d, the hook-content product otherwise.  The verification route,
-the horizontal-strip recurrence, lives in ``proofs`` with the identities
-that compare the two.  The value is the number of fillings, which the
-enumeration cap reads; ``weight_counts`` lists their weights, the Chern
-roots that both oracle routes, ``chern`` and ``sympoly``, read.
+The one dimension function is Weyl's product (Fulton and Harris, Thm. 6.3)
+by blocks of equal parts; ``proofs`` holds the horizontal-strip recurrence
+that checks it.  The value is the number of fillings, which the enumeration
+cap reads; ``weight_counts`` lists their weights, the Chern roots that both
+oracle routes, ``chern`` and ``sympoly``, read.
 """
 
 from __future__ import annotations
@@ -15,42 +14,41 @@ from math import comb
 from .errors import InternalNonIntegral, SizeGuard, ZeroBundle
 from .partitions import Partition, horizontal_strip_predecessors
 
-# the most boxes the hook-content product takes; its time grows about as the
-# square of the boxes: (200000, 2) takes about 20 s, the cap about 10 minutes
-_BOX_CAP = 10**6
-
 
 def schur_ones_hook_content(shape: Partition, n: int) -> int:
-    """Product over boxes of (n + content)/(hook length), exactly.
+    """Weyl's product over rows i < j <= n of (shape_i - shape_j + j - i)/(j - i).
 
-    The box in row i, column j has content j - i and hook length
-    (shape[i] - j) + (conjugate[j] - i) + 1.  Numerators and hook lengths
-    are multiplied as integers row by row and divided once at the end,
-    which must be exact.  A shape with more rows than n picks up a zero
-    factor and the value is 0.  A one-row or one-column shape takes the
-    product's closed form, a binomial, without the quadratic product; any
-    other shape over _BOX_CAP boxes raises SizeGuard before it is conjugated.
+    A pair of rows inside a block of equal parts gives 1.  A block of a rows
+    against a later one of b rows (the n - rows zero rows last), d apart in
+    part, gives C(d + t, b)/C(t, b) per upper row or C(a + t, b)/C(t, b) per
+    unit of d, whichever are fewer, t counting up from the distance between
+    the two blocks' last rows.  A row (d) is C(n+d-1, d) and a column 1^d is C(n, d),
+    in one step each.  The one division at the end must be exact; a shape
+    with more rows than n has the value 0.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     shape = Partition(shape)
-    if len(shape) == 1:
-        return comb(n + shape[0] - 1, shape[0])
-    if shape and shape[0] == 1:
-        return comb(n, len(shape))
-    if shape.size > _BOX_CAP:
-        raise SizeGuard(f"a shape of {shape.size} boxes exceeds the box cap {_BOX_CAP}")
-    heights = shape.conjugate()
-    numerator = hooks = 1
-    for i, width in enumerate(shape, start=1):
-        for j in range(1, width + 1):
-            numerator *= n + j - i
-            hooks *= (width - j) + (heights[j - 1] - i) + 1
-    if numerator % hooks:
-        raise InternalNonIntegral(
-            f"hook-content product for {shape!r}, n={n} gave {numerator}/{hooks}"
-        )
-    return numerator // hooks
+    if len(shape) > n:
+        return 0
+    # each part with the row its block ends on, the last of its rows
+    blocks = [*dict(zip(shape, range(1, len(shape) + 1))).items(), (0, n)]
+    numerator = denominator = 1
+    top = 0
+    for upper, (part, end) in enumerate(blocks):
+        above, first = end - top, end
+        for lower, stop in blocks[upper + 1:]:
+            below, diff = stop - first, part - lower
+            steps, width = (above, diff) if above < diff else (diff, above)
+            for t in range(stop - end, stop - end + steps):
+                numerator *= comb(width + t, below)
+                denominator *= comb(t, below)
+            first = stop
+        top = end
+    if numerator % denominator:
+        raise InternalNonIntegral(f"Weyl's product for {shape!r}, n={n}"
+                                  f" gave {numerator}/{denominator}")
+    return numerator // denominator
 
 
 def _refuse_over_fillings(shape: Partition, max_entry: int, count: int, cap: int) -> None:

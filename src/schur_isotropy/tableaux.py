@@ -5,7 +5,7 @@
 weight.  Both oracle routes read that multiset from ``schur.weight_counts``,
 built from smaller shapes; the tests check it against this walk.  No oracle
 call loads this module; ``self-check`` reruns the count.  The walk's size
-cap is checked against the hook-content product, which equals the number of
+cap is checked against Weyl's dimension product, which equals the number of
 fillings; ``count_ssyt`` stays an independent count of it.
 """
 
@@ -27,7 +27,7 @@ def count_ssyt(shape: Partition, max_entry: int) -> int:
     Runs a memoized column-by-column dynamic program (columns are strictly
     increasing subsets; adjacent columns must weakly increase along rows), so
     counting stays feasible far beyond the enumeration cap.  Deliberately
-    independent of the hook-content evaluation so the two can cross-check
+    independent of Weyl's dimension product so the two can cross-check
     each other.
     """
     if max_entry < 0:
@@ -72,7 +72,7 @@ def weight_vectors(
     Slot i of a weight counts the entries equal to i+1.  Fillings are
     walked in lexicographic order of their row-major reading word, and the
     weights come out in that order.  Raises SizeGuard before any walk when
-    the count of fillings, predicted by the hook-content product, exceeds
+    the count of fillings, predicted by Weyl's dimension product, exceeds
     ``max_tableaux``; a shape with more rows than ``max_entry`` yields the
     empty list.
     """

@@ -1,4 +1,4 @@
-"""Closed forms for the dimension of two shape families, used as golden values."""
+"""Closed forms for the dimension of three shape families, used as golden values."""
 
 from fractions import Fraction
 from math import comb
@@ -26,5 +26,19 @@ def two_row_rectangle_dimension(d: int, n: int) -> int:
     if value.denominator != 1:
         raise InternalNonIntegral(
             f"rectangle closed form gave {value} for d={d}, n={n}"
+        )
+    return value.numerator
+
+
+def two_row_dimension(a: int, b: int, n: int) -> int:
+    """Closed form for the shape (a, b): (a-b+1)/(a+1) * C(n+a-1, a) * C(n+b-2, b)."""
+    if not a >= b >= 1 or n < 0:
+        raise ValueError(f"need a >= b >= 1 and n >= 0, got a={a}, b={b}, n={n}")
+    if n < 2:
+        return 0
+    value = Fraction(a - b + 1, a + 1) * comb(n + a - 1, a) * comb(n + b - 2, b)
+    if value.denominator != 1:
+        raise InternalNonIntegral(
+            f"two-row closed form gave {value} for a={a}, b={b}, n={n}"
         )
     return value.numerator

@@ -14,6 +14,8 @@ import pytest
 from schur_isotropy import Partition, chern, decide, isotropy
 from schur_isotropy.cli import build_parser, run
 
+from closed_forms import two_row_dimension
+
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json").read_text()
 )
@@ -449,15 +451,19 @@ def test_domain_errors_exit_1(capsys):
         assert captured.err.startswith("error: need "), command
 
 
-def test_a_shape_over_the_box_cap_exits_1_with_an_error(capsys):
-    # one box over the hook-content cap: decide and min-n refuse at once
-    # instead of running the quadratic product
-    for argv in (["decide", "--lambda", "999999,2", "--k", "2", "--n", "5"],
-                 ["min-n", "--lambda", "999999,2", "--k", "2"]):
-        assert run(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: a shape of 1000001 boxes"), argv
+def test_a_shape_over_a_million_boxes_exits_0_with_its_threshold(capsys):
+    # (999999, 2) has 1000001 boxes; decide and min-n answer it at once
+    dim = two_row_dimension(999999, 2, 2)
+    assert run(["decide", "--lambda", "999999,2", "--k", "2", "--n", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "999999,2  2  5  false      oracle-fallback" in captured.out
+    assert run(["min-n", "--lambda", "999999,2", "--k", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    threshold = str(2 + -(-dim // 2))
+    assert captured.out.splitlines()[-1].split() == [
+        "999999,2", "2", str(dim), threshold, threshold, "oracle-fallback"]
 
 
 def _limit_memory():

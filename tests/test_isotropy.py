@@ -167,6 +167,15 @@ def test_two_row_shapes_at_k2_flip_at_the_degree_bound():
         assert flip == 2 + -(-(shape[0] - shape[1] + 1) // 2), shape
 
 
+def test_a_long_two_row_shape_decides_within_a_second():
+    # the dimension is Weyl's product over the two rows and the three zero
+    # rows, a few binomials, not one factor per box of the 200002
+    start = perf_counter()
+    verdict = decide(Partition((200000, 2)), 2, 5)
+    assert perf_counter() - start < 1
+    assert verdict[:2] == (False, RULE_ORACLE_FALLBACK)
+
+
 def test_decide_validation():
     with pytest.raises(EmptyPartition):
         decide(Partition(), 2, 4)

@@ -5,7 +5,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from schur_isotropy import proofs
-from schur_isotropy.errors import InternalMismatch, SizeGuard
+from schur_isotropy.errors import InternalMismatch
 from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.proofs import (
     _CROSS_CHECK_LIMIT,
@@ -16,7 +16,11 @@ from schur_isotropy.proofs import (
 from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.tableaux import count_ssyt
 
-from closed_forms import hook_shape_dimension, two_row_rectangle_dimension
+from closed_forms import (
+    hook_shape_dimension,
+    two_row_dimension,
+    two_row_rectangle_dimension,
+)
 from conftest import partitions
 
 
@@ -156,19 +160,37 @@ def test_symmetric_power_ratio_gain():
             assert dimension_ratio_gain(Partition((d,)), alpha) >= 1, (d, alpha)
 
 
-def test_a_shape_over_the_box_cap_is_refused_before_it_is_conjugated(monkeypatch):
-    # (999999, 2) has 1000001 boxes, one over the cap; the refusal comes
-    # before the conjugate, which for (2 * 10**9, 2) would not fit in memory
+def test_a_shape_over_a_million_boxes_answers_without_its_conjugate(monkeypatch):
+    # Weyl's product reads only the parts: (999999, 2) has 1000001 boxes,
+    # and the conjugate of (2 * 10**9, 2) would not fit in memory
     def no_conjugate(shape):
-        raise AssertionError("conjugate built for a shape over the box cap")
+        raise AssertionError("conjugate built for the dimension")
 
     monkeypatch.setattr(Partition, "conjugate", no_conjugate)
-    with pytest.raises(SizeGuard, match="1000001 boxes"):
-        schur_ones_hook_content(Partition((999999, 2)), 2)
-    # one row or one column of any length keeps its binomial and has no cap
+    for a, n in ((999999, 2), (2 * 10**9, 5)):
+        assert schur_ones_hook_content(Partition((a, 2)), n) == two_row_dimension(a, 2, n)
+    # one row or one column of any length is one binomial, not one factor per box
     assert schur_ones_hook_content(Partition((2 * 10**6,)), 2) == 2 * 10**6 + 1
     column = Partition((1,) * (10**6 + 1))
     assert schur_ones_hook_content(column, 10**6 + 2) == 10**6 + 2
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 2, 2, 1, 1), (4, 4, 2, 2), (3, 3, 3, 1, 1, 1)])
+def test_blocks_of_several_rows_match_the_recurrence(shape):
+    # each pair of blocks has several rows on both sides, which the grids
+    # of shapes up to size 6 do not reach
+    shape = Partition(shape)
+    for n in range(len(shape), 13):
+        assert schur_ones_hook_content(shape, n) == schur_ones_recurrence(shape, n), n
+
+
+def test_two_row_closed_form():
+    for a in range(1, 8):
+        for b in range(1, a + 1):
+            for n in range(0, 9):
+                assert two_row_dimension(a, b, n) == schur_ones_hook_content(
+                    Partition((a, b)), n
+                )
 
 
 def test_rejects_negative_alphabet():
