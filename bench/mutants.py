@@ -67,9 +67,13 @@ MUTANTS = (
      "                k <= 5, RULE_EXCEPTION_SKEW_3_N7, None,",
      "fails", "alternating 3-forms on C^7 read isotropic at k = 5"),
     ("schur.py",
-     "    blocks = [*dict(zip(shape, range(1, len(shape) + 1))).items(), (0, n)]",
-     "    blocks = [*dict(zip(shape, range(1, len(shape) + 1))).items(), (0, n - 1)]",
+     "    blocks = [*ends.items(), (0, n)]",
+     "    blocks = [*ends.items(), (0, n - 1)]",
      "fails", "every block meets the zero rows of n - 1, not n"),
+    ("schur.py",
+     "        _refuse_over(bound, _STEP_CAP, \"steps of Weyl's product\")",
+     "        pass",
+     "fails", "no step cap: a staircase of 2000 rows runs past its test's 20 s limit"),
     ("schur.py",
      "            steps, width = (above, diff) if above < diff else (diff, above)",
      "            steps, width = (diff, above) if above < diff else (above, diff)",

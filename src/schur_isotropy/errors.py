@@ -47,7 +47,7 @@ class OutOfTheoremScope(DomainError):
 
 class SizeGuard(DomainError):
     """Predicted fillings, localization cost, or counted interlacing rows,
-    descent steps or sweep cases over its cap."""
+    descent steps, sweep cases or steps of Weyl's product over its cap."""
 
 
 def _refuse_over(count: int, cap: int, what: str) -> None:

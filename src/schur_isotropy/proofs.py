@@ -40,7 +40,7 @@ _CROSS_CHECK_LIMIT = 8
 # The most interlacing rows, min(k, n-k) + 1, that tevelev_inequalities
 # evaluates and the most descent steps, k - rows, that verify_proof_chain
 # replays; past either they raise SizeGuard before any work.  On a 2-core
-# x86_64, check-lemma36 --json at the row cap takes about 1.2 s on (2,1), and
+# x86_64, check-lemma36 --json at the row cap takes about 1.5 s on (2,1), and
 # proof-chain --json about 3.5 s at k = 99999; a row costs more on a larger
 # shape: on (1000,1000), 2001 rows take about 0.6 s and 20001 about 13 s.
 INEQUALITY_ROW_CAP = 100_000

@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InternalNonIntegral, SizeGuard, ZeroBundle
+from .errors import InternalNonIntegral, SizeGuard, ZeroBundle, _refuse_over
 from .partitions import Partition, horizontal_strip_predecessors
+
+# the most steps of Weyl's product, never more than the boxes; on a 2-core
+# x86_64 a staircase of 1000 rows (500500 steps) takes about 25 s, and one of
+# 1413 rows, just under the cap, about 80 s
+_STEP_CAP = 10**6
 
 
 def schur_ones_hook_content(shape: Partition, n: int) -> int:
@@ -22,33 +27,43 @@ def schur_ones_hook_content(shape: Partition, n: int) -> int:
     against a later one of b rows (the n - rows zero rows last), d apart in
     part, gives C(d + t, b)/C(t, b) per upper row or C(a + t, b)/C(t, b) per
     unit of d, whichever are fewer, t counting up from the distance between
-    the two blocks' last rows.  A row (d) is C(n+d-1, d) and a column 1^d is C(n, d),
-    in one step each.  The one division at the end must be exact; a shape
-    with more rows than n has the value 0.
+    the blocks' last rows: a row (d) is C(n+d-1, d) and a column 1^d C(n, d).
+    Steps over _STEP_CAP, counted as min(a, part) per later block, raise
+    SizeGuard before the first.  The division at the end must be exact; a
+    shape with more rows than n has the value 0.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     shape = Partition(shape)
     if len(shape) > n:
         return 0
-    # each part with the row its block ends on, the last of its rows
-    blocks = [*dict(zip(shape, range(1, len(shape) + 1))).items(), (0, n)]
+    ends = {part: row for row, part in enumerate(shape, 1)}  # each part, its block's last row
+    if len(shape) * len(ends) > _STEP_CAP:  # the steps are at most this; count them closer
+        tops = (0, *ends.values())
+        bound = sum(min(end - top, part) * (len(ends) - upper)
+                    for upper, ((part, end), top) in enumerate(zip(ends.items(), tops)))
+        _refuse_over(bound, _STEP_CAP, "steps of Weyl's product")
+    blocks = [*ends.items(), (0, n)]
     numerator = denominator = 1
     top = 0
-    for upper, (part, end) in enumerate(blocks):
+    for upper, (part, end) in enumerate(ends.items()):
         above, first = end - top, end
+        over = under = 1  # this block's factors; the running product grows once per block
         for lower, stop in blocks[upper + 1:]:
             below, diff = stop - first, part - lower
             steps, width = (above, diff) if above < diff else (diff, above)
             for t in range(stop - end, stop - end + steps):
-                numerator *= comb(width + t, below)
-                denominator *= comb(t, below)
+                over *= comb(width + t, below)
+                under *= comb(t, below)
             first = stop
+        numerator *= over
+        denominator *= under
         top = end
-    if numerator % denominator:
+    dimension, remainder = divmod(numerator, denominator)
+    if remainder:
         raise InternalNonIntegral(f"Weyl's product for {shape!r}, n={n}"
                                   f" gave {numerator}/{denominator}")
-    return numerator // denominator
+    return dimension
 
 
 def _refuse_over_fillings(shape: Partition, max_entry: int, count: int, cap: int) -> None:

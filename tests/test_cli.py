@@ -480,11 +480,15 @@ def _limit_memory():
      "999999998 descent steps exceed the cap 100000"),
     ("sweep --max-size 3 --max-k 3 --max-n 1000000000",
      "13999999969 sweep cases exceed the cap 100000"),
+    pytest.param(f"dim --lambda {','.join(map(str, range(2000, 0, -1)))} --n 2000",
+                 "2001000 steps of Weyl's product exceed the cap 1000000",
+                 id="dim-staircase-of-2000-rows"),
 ])
 def test_counted_work_over_its_cap_exits_1_at_once(argv, error):
-    # each argv used to run without end; its rows, descent steps or cases
-    # are counted and refused before any work, in a child under a time and
-    # memory limit, so a missing guard fails the test instead of the machine
+    # each argv used to run without end; its rows, descent steps, cases or
+    # steps of Weyl's product are counted and refused before any work, in a
+    # child under a time and memory limit, so a missing guard fails the test
+    # instead of the machine
     src = Path(__file__).resolve().parent.parent / "src"
     script = "import sys; from schur_isotropy.cli import main; main()"
     done = subprocess.run(

@@ -144,10 +144,12 @@ def test_decide_oracle_fallback_for_k2():
     # dimension 49, past the sweep's dimension cap of 40
     assert decide(Partition((50, 2)), 2, 30)[:2] == (True, RULE_ORACLE_FALLBACK)
     # the degree bound answers without a sum: dimension 999 fits Gr(2, n)
-    # from n = 502 on, where the localization sum would be far over its cap
+    # from n = 502 on, where the localization sum would be far over its cap;
+    # the dimension of (200000, 2) is a few binomials, not one factor per box
     start = perf_counter()
     assert decide(Partition((1000, 2)), 2, 600)[:2] == (True, RULE_ORACLE_FALLBACK)
     assert min_isotropic_n(Partition((1000, 2)), 2) == 502
+    assert decide(Partition((200000, 2)), 2, 5)[:2] == (False, RULE_ORACLE_FALLBACK)
     assert perf_counter() - start < 1
 
 
@@ -165,15 +167,6 @@ def test_two_row_shapes_at_k2_flip_at_the_degree_bound():
     }
     for (shape, _), flip in chern.flip_points(degrees, 30).items():
         assert flip == 2 + -(-(shape[0] - shape[1] + 1) // 2), shape
-
-
-def test_a_long_two_row_shape_decides_within_a_second():
-    # the dimension is Weyl's product over the two rows and the three zero
-    # rows, a few binomials, not one factor per box of the 200002
-    start = perf_counter()
-    verdict = decide(Partition((200000, 2)), 2, 5)
-    assert perf_counter() - start < 1
-    assert verdict[:2] == (False, RULE_ORACLE_FALLBACK)
 
 
 def test_decide_validation():
@@ -368,7 +361,7 @@ def test_verdict_threshold_consistency():
 
 def test_main_rule_reads_one_hook_content():
     # the main rule's threshold, verdict and detail, restated from threshold_n
-    # and hook-content on every shape it applies to up to size 6, k <= 6
+    # and Weyl's product on every shape it applies to up to size 6, k <= 6
     applied = 0
     for lam in partitions_up_to(6):
         if len(lam) < 2 or lam[0] < 2:
@@ -439,7 +432,7 @@ def test_decisions_and_a_sweep_without_the_oracle_sum_nothing(monkeypatch):
 
 def test_each_routing_evaluates_the_dimension_once(monkeypatch, capsys):
     # the dimension, its threshold and the verdicts of a (shape, k) all come
-    # from one hook-content product, however many of them a caller reads
+    # from one evaluation of Weyl's product, however many of them a caller reads
     calls = []
     product = isotropy.schur_ones_hook_content
 

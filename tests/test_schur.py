@@ -47,7 +47,7 @@ def test_dim_schur_module():
 
 def test_dim_schur_module_cross_checks_by_the_recurrence(monkeypatch):
     # a recurrence that is off by one must be caught on a multi-row shape
-    # (the hook-content product) and on a one-row shape (its binomial)
+    # and on a one-row shape
     recurrence = proofs.schur_ones_recurrence
     monkeypatch.setattr(
         proofs, "schur_ones_recurrence", lambda shape, n: recurrence(shape, n) + 1

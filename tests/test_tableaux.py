@@ -120,7 +120,7 @@ def test_size_guard():
 
 
 def test_the_size_guard_trips_just_below_the_count():
-    # the cap is checked against hook-content, which must equal the count
+    # the cap is checked against Weyl's product, which must equal the count
     for lam in filter(None, partitions_up_to(5)):
         for k in range(len(lam), 6):
             count = count_ssyt(lam, k)
