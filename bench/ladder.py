@@ -8,7 +8,9 @@ Each (rung, route) runs at least MIN_REPEATS times, and on until its runs
 have taken MIN_SECONDS of wall time, interpreter starts included, so a rung
 of a few milliseconds gets enough repeats to outlast CPU-speed drift.  Each
 run is a fresh interpreter that imports the package from ``src/`` and times
-only the calls.  With
+only the calls.  A table or dimension run, of microseconds to a millisecond,
+makes one call to warm the interpreter and then reports the mean over as
+many calls as fill 0.05 s, so its first-call cost does not swamp it.  With
 ``--base``, a second source tree (a git checkout of another commit, whose
 ``src/`` is imported instead) is timed in the same run: every repeat times
 both trees back to back, the order alternating from one repeat to the next,
@@ -37,10 +39,10 @@ A walk rung is one ``tableaux.weight_vectors`` call on a tall hook with as
 many letters as rows (route ``weights``).  A table rung gives every shape
 up to a size the distinct weights and multiplicities of its fillings at
 every k up to a bound, by ``schur.weight_counts`` with one shared table
-(route ``table``, timed on this tree only, as a base tree may lack it) and
-by counting ``tableaux.weight_vectors`` (route ``enumeration``); it reports
+(route ``table``; a base tree must have it) and by counting
+``tableaux.weight_vectors`` (route ``enumeration``); it reports
 ``table_over_enumeration``, the ratio of their medians on this tree.  A
-dimension rung is one or more (shape, n) pairs, each evaluated once by
+dimension rung is one or more (shape, n) pairs, each evaluated by
 ``schur.schur_ones_hook_content`` (route ``dimension``): first every
 nonempty shape up to a size at every k from its row count to a bound, the
 pairs whose class degrees a sweep window reads, then single long, tall,
@@ -117,6 +119,15 @@ from schur_isotropy.partitions import Partition, partitions_up_to
 from schur_isotropy.schur import schur_ones_hook_content
 from schur_isotropy.tableaux import weight_vectors
 route, spec = sys.argv[1], json.loads(sys.argv[2])
+INNER_SECONDS = 0.05  # the least time of a table or dimension rung's timed calls
+def per_call(call):
+    # (seconds per call, the first call's result): the mean over as many
+    # calls as fill INNER_SECONDS, after that first call warms the interpreter
+    result, calls, start = call(), 0, perf_counter()
+    while not calls or perf_counter() - start < INNER_SECONDS:
+        call()
+        calls += 1
+    return (perf_counter() - start) / calls, result
 if route == "sweep":
     start = perf_counter()
     cases = run_sweep(*spec, with_oracle=True)
@@ -132,14 +143,15 @@ if route == "sweep":
 if route in ("table", "enumeration"):
     size, top = spec
     pairs = [(lam, k) for lam in partitions_up_to(size) for k in range(1, top + 1)]
-    start = perf_counter()
     if route == "table":
         from schur_isotropy.schur import weight_counts
-        table = {}
-        counts = [weight_counts(lam, k, table) for lam, k in pairs]
+        def call():
+            table = {}
+            return [weight_counts(lam, k, table) for lam, k in pairs]
     else:
-        counts = [Counter(weight_vectors(lam, k)) for lam, k in pairs]
-    seconds = perf_counter() - start
+        def call():
+            return [Counter(weight_vectors(lam, k)) for lam, k in pairs]
+    seconds, counts = per_call(call)
     print(json.dumps({
         "s": seconds,
         "pairs": len(pairs),
@@ -155,9 +167,7 @@ if route == "dimension":
                  for k in range(len(lam), top + 1)]
     else:
         pairs = [(Partition(shapes), top)]
-    start = perf_counter()
-    values = [schur_ones_hook_content(lam, n) for lam, n in pairs]
-    seconds = perf_counter() - start
+    seconds, values = per_call(lambda: [schur_ones_hook_content(lam, n) for lam, n in pairs])
     print(json.dumps({
         "s": seconds,
         "pairs": len(pairs),
@@ -318,8 +328,8 @@ def main() -> int:
         print(json.dumps(rungs[-1]), flush=True)
     for size, top in TABLES:
         walked, runs, base_runs = timed("enumeration", [size, top], base)
-        built, tables, _ = timed("table", [size, top], None)
-        agree = agree and same(runs + base_runs + tables, "digest")
+        built, tables, base_tables = timed("table", [size, top], base)
+        agree = agree and same(runs + base_runs + tables + base_tables, "digest")
         rungs.append({
             "tables": {"max_size": size, "max_k": top, "pairs": runs[0]["pairs"]},
             "enumeration": walked,

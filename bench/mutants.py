@@ -47,9 +47,17 @@ MUTANTS = (
      "_CROSS_CHECK_LIMIT = 0",
      "fails", "dim no longer re-derives the dimension by the recurrence"),
     ("schur.py",
-     "                last = (lam.size - mu.size,)",
-     "                last = (lam.size - mu.size + 1,)",
-     "fails", "the weight table no longer counts the walked fillings"),
+     "                columns[-1] += [size - sum(mu)] * c",
+     "                columns[-1] += [size - sum(mu) + 1] * c",
+     "fails", "the fillings table's new coordinate is off by one"),
+    ("schur.py",
+     "                count += c",
+     "                count += 1",
+     "fails", "the fillings table counts strips, not their fillings"),
+    ("chern.py",
+     "            roots = dots[a:b]",
+     "            roots = dots[a:b - 1]",
+     "fails", "a pass drops each shape's last root"),
     ("chern.py",
      "            _refuse_zero_bundle(shape, k)",
      "            pass",

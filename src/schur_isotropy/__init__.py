@@ -7,10 +7,11 @@ cases; an independent Schubert-calculus oracle (the top Chern class of the
 associated bundle on Gr(k, n)) cross-validates the rules on small instances.
 
 Importing the package loads the decision and localization core (errors,
-partitions, schur, isotropy, chern).  Both oracle routes read the weight
-table schur.weight_counts and import nothing from each other: chern holds the
-localization sum, and sympoly the truncated expansion, top_chern_nonzero with
-ChernVerdict, beside its multiply.  The names of the
+partitions, schur, isotropy, chern).  Both oracle routes read the fillings
+table of schur, chern its columns (schur.fillings) and sympoly its weight
+multiset (schur.weight_counts), and import nothing from each other: chern
+holds the localization sum, and sympoly the truncated expansion,
+top_chern_nonzero with ChernVerdict, beside its multiply.  The names of the
 verification layer (proofs), the reference filling walk (tableaux) and the
 Schur expansion (sympoly) load their module on first use.
 """

@@ -2,15 +2,17 @@
 
 The machine-checkable counterpart of the closed-form decision rules: the
 sign of the class's degree against a power of sigma_1, from its Chern
-roots, the weights of S_shape(C^k) that ``schur.weight_counts`` lists.  The
-``oracle`` command's truncated Schur expansion (``sympoly``) reads the same
-roots; the two routes import nothing from each other.
+roots, one per semistandard filling of the shape with entries up to k, its
+weight, from the table of ``schur.fillings``.  The ``oracle`` command's
+truncated Schur expansion (``sympoly``) reads the same roots as the
+table's weight multiset, ``schur.weight_counts``; the two routes import
+nothing from each other.
 
 ``localization_integrals`` computes, per shape and n at one k, the degree of
 the class times sigma_1^(k(n-k)-D) as an Atiyah-Bott sum over the C(n, k)
 torus-fixed points (Atiyah and Bott, Topology 1984), from each shape's
-weight_counts, by one pass over Gr(k, n) per n for all the shapes asking
-for it, visiting only the points whose sigma_1 lift is not negative.  The
+fillings, by one pass over Gr(k, n) per n for all the shapes asking for
+it, visiting only the points whose sigma_1 lift is not negative.  The
 bundle is globally generated, so the class is a nonnegative sum of
 Schubert classes (Fulton and Lazarsfeld, Ann. Math. 1983) and sigma_1^m
 meets each of them positively: the number is positive exactly when the
@@ -19,8 +21,8 @@ class is nonzero.
 ``flip_points`` finds, per (shape, k), the first n at which the class is
 nonzero, from the sign of the localization integral; isotropy is monotone
 in n, so the class is nonzero at every larger n.  A search walks each
-Gr(k, n) at most once, for all its pairs there, and packs each k's weights
-once per lane width its passes need.
+Gr(k, n) at most once, for all its pairs there, and packs each k's
+fillings once per lane width its passes need.
 ``isotropy.run_sweep`` reads its oracle column from one search; no
 decision rule reads this module.
 """
@@ -28,9 +30,9 @@ decision rule reads this module.
 from __future__ import annotations
 
 from array import array
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb, factorial, prod
-from operator import mul
+from operator import mul, sub
 from sys import byteorder
 from typing import Iterable, Mapping
 
@@ -41,7 +43,7 @@ from .errors import (
     SizeGuard,
 )
 from .partitions import Partition
-from .schur import _refuse_zero_bundle, schur_ones_hook_content, weight_counts
+from .schur import _refuse_zero_bundle, fillings, schur_ones_hook_content, weight_counts
 
 # The localization_cost at any one (shape, n) above which localization_integrals
 # refuses to start.  Measured at the cap on a 2-core x86_64: about 0.3-0.9 s
@@ -53,12 +55,12 @@ LOCALIZATION_COST_CAP = 30_000_000
 def localization_cost(k: int, n: int, degree: int) -> int:
     """Predicted work of the localization sum on Gr(k, n) for a bundle of rank degree.
 
-    Each of the C(n, k) fixed points makes one pass over the distinct
-    weights (at most degree of them) and multiplies its k(n - k) linear
-    factors, which also set the size of its integers.  It bounds a symmetric
-    pass from above (about half of the points, and at each at most degree
-    roots and |S|(|S| + 1)/2 <= k(n - k) factors of V(S)^2 and signs), and is
-    kept as it is so that no input moves between an answer and SizeGuard.
+    Each of the C(n, k) fixed points multiplies one root per filling
+    (degree of them) and its k(n - k) linear factors, which also set the
+    size of its integers.  It bounds a symmetric pass from above (about half
+    of the points, and at each degree roots and |S|(|S| + 1)/2 <= k(n - k)
+    factors of V(S)^2 and signs), and is kept as it is so that no input
+    moves between an answer and SizeGuard.
     """
     return comb(n, k) * (degree + k * (n - k))
 
@@ -75,26 +77,27 @@ def _refuse_over_cap(k: int, n: int, degree: int) -> None:
 
 
 def _lanes(shapes: list[Partition], k: int, n: int, table: dict) -> tuple:
-    """(packed, offset, typecode, spans, reach): the shapes' distinct weights
-    (over ``table``) as w-bit lanes, sum(v * 2^(w * lane)) per coordinate, w
-    the least width for their roots on Gr(k, n), which holds them up to Gr(k, reach);
-    offset is 2^(w-1) in every lane, spans[shape] = (a, b, multiplicities) for
-    its lanes a..b-1.  Sums and multiples of packed integers pack the lane by
-    lane sums and multiples while each stays in [-2^(w-1), 2^(w-1)), as roots do."""
+    """(packed, offset, typecode, spans, reach): the shapes' fillings (over
+    ``table``) as w-bit lanes, one per filling, sum(v * 2^(w * lane)) per
+    coordinate, w the least width for their roots on Gr(k, n), which holds
+    them up to Gr(k, reach); offset is 2^(w-1) in every lane, spans[shape] =
+    (a, b) for its lanes a..b-1.  Sums and multiples of packed integers pack
+    the lane by lane sums and multiples while each stays in
+    [-2^(w-1), 2^(w-1)), as roots do."""
     spans, columns = {}, [[] for _ in range(k)]
     for shape in shapes:
-        weights, mults = zip(*weight_counts(shape, k, table).items())
+        count, coordinates = fillings(shape, k, table)
         a = len(columns[0])
-        for column, coordinates in zip(columns, zip(*weights)):
-            column.extend(coordinates)
-        spans[shape] = a, a + len(mults), mults
+        for column, part in zip(columns, coordinates):
+            column += part
+        spans[shape] = a, a + count
     size = max(1, *map(sum, shapes))  # a root w.t_I on Gr(k, n) is less than size * n
     typecode = next(c for c in "hiq" if size * n < 1 << 8 * array(c).itemsize - 1)
     width, lanes = 8 * array(typecode).itemsize, len(columns[0])
     offset = ((1 << width * lanes) - 1) // ((1 << width) - 1) << width - 1
-    unsigned = [array(typecode.upper(), [v + (1 << width - 1) for v in column])
-                for column in columns]
-    packed = [int.from_bytes(lane.tobytes(), byteorder) - offset for lane in unsigned]
+    # weights are nonnegative and below 2^(w-1): each packs unsigned, as it is
+    packed = [int.from_bytes(array(typecode.upper(), column).tobytes(), byteorder)
+              for column in columns]
     return packed, offset, typecode, spans, ((1 << width - 1) - 1) // size
 
 
@@ -117,15 +120,15 @@ def _pass(k: int, n: int, batch: list, lanes: tuple) -> dict[Partition, int]:
         partial = (2 * sum(map(mul, packed, point)) + shift) ^ offset
         dots = array(typecode, partial.to_bytes(size, byteorder))
         euler = None
-        for j, (a, b, mults, m) in enumerate(shapes):
+        for j, (a, b, m) in enumerate(shapes):
             roots = dots[a:b]
             if 0 in roots or m and not lift:
                 continue
             if euler is None:  # doubled when the lift is positive
                 s = point if 2 * k <= n else set(range(n)).difference(point)
-                v = prod(y - x for x, y in combinations(s, 2))
+                v = prod(starmap(sub, combinations(s, 2)))
                 euler = v * v * prod(map(signed.__getitem__, s)) << (lift > 0)
-            totals[j] += lift ** m * prod(map(pow, roots, mults)) * euler
+            totals[j] += lift ** m * prod(roots) * euler
     r = min(k, n - k)  # |S|
     odd = (r * (r - 1) // 2 + k * (n - k) * (2 * k <= n)) % 2
     denominator = factorial(n - 1) ** r << k * (n - k)
@@ -154,7 +157,7 @@ def localization_integrals(
 
     Atiyah-Bott localization, one pass over Gr(k, n) per n (_pass) for the
     shapes asking for it, their roots the lanes of packed integers (_lanes): a
-    fixed point is a k-subset I of 0..n-1, where each weight w of weight_counts
+    fixed point is a k-subset I of 0..n-1, where the weight w of each filling
     gives the Chern root w.t_I, the lift of sigma_1 is the sum of t_I and the
     tangent weights are t_j - t_i (i in I, j not in I).  Any distinct t give
     the same integral, and t_i = 2i - (n-1) are symmetric: n-1-I negates the

@@ -225,19 +225,20 @@ def run_sweep(
     rows <= k <= max_k, k < n <= max_n; with the oracle verdict alongside
     wherever k <= SWEEP_K_CAP and the class degree is at most SWEEP_DIM_CAP.
 
-    More than SWEEP_CASE_CAP cases, counted as a closed sum over k per
-    shape, raise SizeGuard first.  Each (shape, k) is routed once: its record
+    Only the shapes with at most min(max_k, max_n - 1) rows are listed, as
+    a taller one has no case.  More than SWEEP_CASE_CAP cases, counted as a
+    closed sum over k per shape, raise SizeGuard first.  Each (shape, k) is
+    routed once, and its flip read once: its record
     gives the verdicts for every n and the class degree whose flip point,
     from one chern.flip_points call (the only part of the sweep that reads
     ``chern``), sets the oracle verdict; it agrees with top_chern_nonzero at
     every n.  Order is deterministic: shapes by size then lex-decreasing,
     then k, then n.
     """
-    shapes = [shape for shape in partitions_up_to(max_size) if shape]
-    top = min(max_k, max_n - 1)
-    # a shape of r <= top rows has max_n - k cases at each k from r to top
-    count = sum((top - r + 1) * (2 * max_n - r - top) // 2
-                for r in map(len, shapes) if r <= top)
+    top = min(max_k, max_n - 1)  # a shape of more rows has no case
+    shapes = [shape for shape in partitions_up_to(max_size, top) if shape]
+    # a shape of r rows has max_n - k cases at each k from r to top
+    count = sum((top - r + 1) * (2 * max_n - r - top) // 2 for r in map(len, shapes))
     _refuse_over(count, SWEEP_CASE_CAP, "sweep cases")
     oracle_k = min(max_k, SWEEP_K_CAP) if with_oracle else 0
     routes, degrees = [], {}
@@ -251,8 +252,9 @@ def run_sweep(
     flips = chern.flip_points(degrees, max_n) if degrees else {}
     cases = []
     for shape, k, verdict, shown in routes:
+        flip = flips[shape, k] if shown else None
         for n in range(k + 1, max_n + 1):
-            oracle = n >= flips[shape, k] if shown else None
-            # a Verdict starts with isotropic, rule, threshold_n
-            cases.append(AgreementCase(shape, k, n, *verdict(n)[:3], oracle))
+            isotropic, rule, threshold, _ = verdict(n)
+            cases.append(AgreementCase(shape, k, n, isotropic, rule, threshold,
+                                       None if flip is None else n >= flip))
     return cases

@@ -100,14 +100,13 @@ def horizontal_strip_predecessors(shape: Partition) -> list[Partition]:
     """
     if not shape:
         return [Partition()]
-    ranges = []
-    for i, width in enumerate(shape):
-        low = shape[i + 1] if i + 1 < len(shape) else 0
-        ranges.append(range(low, width + 1))
+    ranges = [range(low, width + 1) for width, low in zip(shape, (*shape[1:], 0))]
     # each choice is weakly decreasing with positive parts but perhaps the
-    # last, so dropping a last 0 leaves it valid without the validation
-    strips = [choice if choice[-1] else choice[:-1] for choice in product(*ranges)]
-    return sorted((tuple.__new__(Partition, mu) for mu in strips), reverse=True)
+    # last, so dropping a last 0 leaves it valid without the validation; the
+    # choices come in increasing order, which dropping a last 0 keeps
+    strips = [tuple.__new__(Partition, mu if mu[-1] else mu[:-1]) for mu in product(*ranges)]
+    strips.reverse()
+    return strips
 
 
 def strip_full_height_columns(shape: Partition) -> Partition:
@@ -120,19 +119,26 @@ def strip_full_height_columns(shape: Partition) -> Partition:
     return Partition(p - shape[-1] for p in shape)
 
 
-def partitions_of(total: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``total`` in lexicographically decreasing order."""
+def partitions_of(
+    total: int, max_part: int | None = None, max_rows: int | None = None
+) -> Iterator[Partition]:
+    """All partitions of ``total`` in lexicographically decreasing order, with
+    parts at most ``max_part`` and at most ``max_rows`` parts when given."""
     if max_part is None or max_part > total:
         max_part = total
-    if total == 0:
+    rows = total if max_rows is None else max_rows
+    if total == 0 and rows >= 0:
         yield Partition()
+    if total == 0 or rows < 1:
         return
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(total - first, first):
+    # a first part below total / rows leaves more than rows parts
+    for first in range(max_part, -(-total // rows) - 1, -1):
+        for rest in partitions_of(total - first, first, rows - 1):
             yield Partition((first,) + tuple(rest))
 
 
-def partitions_up_to(max_size: int) -> Iterator[Partition]:
-    """All partitions of size 0 through ``max_size``, smaller sizes first."""
+def partitions_up_to(max_size: int, max_rows: int | None = None) -> Iterator[Partition]:
+    """All partitions of size 0 through ``max_size``, smaller sizes first, with
+    at most ``max_rows`` parts when given."""
     for total in range(max_size + 1):
-        yield from partitions_of(total)
+        yield from partitions_of(total, max_rows=max_rows)

@@ -3,12 +3,15 @@
 The one dimension function is Weyl's product (Fulton and Harris, Thm. 6.3)
 by blocks of equal parts; ``proofs`` holds the horizontal-strip recurrence
 that checks it.  The value is the number of fillings, which the enumeration
-cap reads; ``weight_counts`` lists their weights, the Chern roots that both
-oracle routes, ``chern`` and ``sympoly``, read.
+cap reads.  ``fillings`` builds them by the branching rule as a count and
+one column per entry, the weights of the fillings read across the columns:
+those weights are the Chern roots that ``chern`` packs.  ``weight_counts``
+counts the same rows into the weight multiset that ``sympoly`` multiplies.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 from .errors import InternalNonIntegral, SizeGuard, ZeroBundle, _refuse_over
@@ -83,34 +86,58 @@ def _refuse_zero_bundle(shape: Partition, k: int) -> None:
         )
 
 
-def weight_counts(shape: Partition, max_entry: int, table: dict) -> dict[tuple, int]:
-    """{weight: the number of fillings with it}, the multiset of
-    tableaux.weight_vectors, by the branching rule: W(shape, m) is the union
-    over the mu with shape/mu a horizontal strip (the entries m) of
-    W(mu, m - 1) times |shape| - |mu|.  The shapes each alphabet needs are
-    listed from max_entry down, then built up one alphabet at a time, in the
-    memory of two however large max_entry is.  ``table`` keeps each
-    (shape, max_entry) asked for and answers it again.
+def fillings(shape: Partition, max_entry: int, table: dict) -> tuple[int, list[list[int]]]:
+    """(count, columns) of the semistandard fillings of shape with entries up
+    to max_entry: column j lists, one entry per filling, how many j + 1s it
+    has.  By the branching rule, the fillings of (shape, m) are those of
+    (mu, m - 1), over the mu with shape/mu a horizontal strip (the entries
+    m), each with |shape| - |mu| entries m: each column joins the strips'
+    columns, and the last is new.  The shapes each alphabet needs are listed
+    from max_entry down, then built up one alphabet at a time, in the memory
+    of two however large max_entry is.  ``table`` keeps each
+    (shape, max_entry) asked for and answers it again; the columns belong to
+    it, so a caller reads them and changes none.
     """
     shape = Partition(shape)
-    levels, m = [{shape: None}], max_entry  # per alphabet, shapes and strips
-    while m and levels[-1]:
-        below = {}
-        for lam in levels[-1]:
-            if lam and (lam, m) not in table and len(lam) <= m:
-                levels[-1][lam] = strips = horizontal_strip_predecessors(lam)
+    levels, level, m = [], {shape: None}, max_entry
+    while level:  # per alphabet, the shapes to build with their strips, and the known
+        build, known, below = {}, {}, {}
+        for lam in level:
+            found = table.get((lam, m))
+            if found:
+                known[lam] = found
+            elif not lam:
+                known[lam] = 1, [[0]] * m
+            elif len(lam) > m:
+                known[lam] = 0, [[]] * m
+            else:  # a strip that keeps m rows leaves no filling with m - 1 entries
+                strips = horizontal_strip_predecessors(lam)
+                if len(lam) == m:
+                    strips = [mu for mu in strips if len(mu) < m]
+                build[lam] = strips
                 below.update(dict.fromkeys(strips))
-        levels.append(below)
-        m -= 1
+        levels.append((build, known))
+        level, m = below, m - 1
     built = {}
-    for m, level in zip(range(m, max_entry + 1), reversed(levels)):
-        built, below = {}, built
-        for lam, strips in level.items():
-            found = built[lam] = table.get((lam, m), {} if lam else {(0,) * m: 1})
-            for mu in strips or ():
-                last = (lam.size - mu.size,)
-                for weight, count in below[mu].items():
-                    weight += last
-                    found[weight] = found.get(weight, 0) + count
+    while levels:  # up from the last alphabet, the one below it dropped as it goes
+        below, m = built, m + 1
+        build, built = levels.pop()
+        for lam, strips in build.items():
+            count, columns, size = 0, [[] for _ in range(m)], sum(lam)
+            for mu in strips:
+                c, part = below[mu]
+                count += c
+                any(map(list.extend, columns, part))  # extend gives None: all run
+                columns[-1] += [size - sum(mu)] * c
+            built[lam] = count, columns
     table[shape, max_entry] = built[shape]
     return built[shape]
+
+
+def weight_counts(shape: Partition, max_entry: int, table: dict) -> Counter:
+    """{weight: the number of fillings with it}, the multiset of
+    tableaux.weight_vectors, from the rows of fillings(shape, max_entry,
+    table): slot j of a weight counts the entries j + 1.
+    """
+    count, columns = fillings(shape, max_entry, table)
+    return Counter(zip(*columns) if columns else [()] * count)

@@ -1,6 +1,7 @@
 """Sparse exact-coefficient polynomials in k variables, Schur-basis expansion,
 and the ``oracle`` command's route to the top Chern class: top_chern_nonzero
-multiplies the forms of the Chern roots that ``schur.weight_counts`` lists,
+multiplies the forms of the Chern roots, the weights of the shape's
+fillings with their multiplicities, as ``schur.weight_counts`` counts them,
 cut to the k x (n - k) box of Gr(k, n), and reads the Schur coefficients that
 survive.  The package import leaves this module out; the ``oracle`` command
 and the first use of one of its names load it.

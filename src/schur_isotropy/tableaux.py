@@ -2,8 +2,10 @@
 
 ``count_ssyt`` counts fillings column by column without listing them;
 ``weight_vectors`` walks every filling row by row and records only its
-weight.  Both oracle routes read that multiset from ``schur.weight_counts``,
-built from smaller shapes; the tests check it against this walk.  No oracle
+weight.  Both oracle routes read the fillings from ``schur.fillings``,
+built from smaller shapes without a walk: ``chern`` as one column per
+entry, ``sympoly`` as their weight multiset ``schur.weight_counts``; the
+tests check both against this walk.  No oracle
 call loads this module; ``self-check`` reruns the count.  The walk's size
 cap is checked against Weyl's dimension product, which equals the number of
 fillings; ``count_ssyt`` stays an independent count of it.

@@ -472,6 +472,29 @@ def test_a_sweep_counts_its_cases_before_it_routes_one(monkeypatch):
         assert str(refused.value) == f"{total} sweep cases exceed the cap {total - 1}"
 
 
+def test_a_sweep_enumerates_only_the_shapes_with_cases(monkeypatch):
+    # a shape with more rows than min(max_k, max_n - 1) has no case, so the
+    # sweep does not list it: one row each up to size 36 is 36 shapes and
+    # the empty one, where every shape of size <= 36 is 99133
+    listed = []
+
+    def counted(*args):
+        for shape in partitions_up_to(*args):
+            listed.append(shape)
+            yield shape
+
+    monkeypatch.setattr(isotropy, "partitions_up_to", counted)
+    assert len(run_sweep(36, 1, 2)) == 36
+    assert listed == [Partition()] + [Partition((size,)) for size in range(1, 37)]
+    for window, shapes, cases in (((6, 6, 3), 16, 27), ((5, 5, 9), 19, 364),
+                                  ((8, 3, 12), 41, 688)):
+        listed.clear()
+        assert len(run_sweep(*window)) == cases, window
+        assert len(listed) == shapes, window
+        top = min(window[1], window[2] - 1)
+        assert listed == [lam for lam in partitions_up_to(window[0]) if len(lam) <= top]
+
+
 def test_the_interlacing_rows_and_descent_steps_are_counted_first(monkeypatch):
     # (2,1) at k = 9, n = 36: 10 interlacing rows and 7 descent steps
     chain = verify_proof_chain(Partition((2, 1)), 9, 36)

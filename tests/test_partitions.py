@@ -185,6 +185,17 @@ def test_partitions_of_order_and_count():
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
 
+def test_a_row_bound_keeps_the_order_and_drops_the_taller_shapes():
+    every = list(partitions_up_to(10))
+    for rows in range(-1, 12):
+        assert list(partitions_up_to(10, rows)) == [
+            lam for lam in every if len(lam) <= rows
+        ], rows
+    assert list(partitions_of(6, 3, 2)) == [Partition((3, 3))]
+    assert list(partitions_of(0, max_rows=0)) == [Partition()]
+    assert list(partitions_of(5, max_rows=0)) == []
+
+
 @given(partitions(max_size=8))
 def test_parse_round_trip(lam):
     assert parse_partition(lam.as_text()) == lam

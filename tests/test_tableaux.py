@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from schur_isotropy.chern import weight_counts
 from schur_isotropy.errors import SizeGuard
 from schur_isotropy.partitions import Partition, partitions_up_to
+from schur_isotropy.schur import fillings, schur_ones_hook_content
 from schur_isotropy.tableaux import count_ssyt, weight_vectors
 
 from conftest import partitions
@@ -179,6 +180,22 @@ def test_a_tall_column_walks_only_its_filling():
     for h in (200, 1200):
         tall = weight_vectors(Partition((2,) + (1,) * (h - 1)), h)
         assert tall == [tuple(1 + (i == arm) for i in range(h)) for arm in range(h)]
+
+
+def test_the_fillings_table_holds_every_filling_once():
+    # (count, columns): column j has the j + 1s of each filling, so the rows
+    # read across the columns are the walked weights, and there are as many
+    # as Weyl's product counts; one table serves every pair
+    table, checked = {}, 0
+    for lam in partitions_up_to(6):
+        for m in range(7):
+            count, columns = fillings(lam, m, table)
+            assert count == schur_ones_hook_content(lam, m), (lam, m)
+            assert len(columns) == m and all(len(c) == count for c in columns)
+            rows = Counter(zip(*columns)) if m else Counter({(): count})
+            assert rows == Counter(weight_vectors(lam, m)), (lam, m)
+            checked += 1
+    assert checked == 210
 
 
 def test_the_weight_table_counts_every_filling():
